@@ -19,15 +19,13 @@ Contracts asserted here:
 * every *completed* request's output slice is byte-identical to its
   fault-free run (PR 5's exactness contract carried through the
   serving tier);
-* the same seeds replay with identical routing traces and
-  retry/hedge/breaker/shed counters at ``REPRO_EXEC_WORKERS`` widths
-  1 and 4.
+* a second replay with the same seeds has identical routing traces
+  and retry/hedge/breaker/shed counters.
 
 The trajectory lands in ``BENCH_PR10.json`` at the repository root
 (schema ``repro-perf/10``; see ``repro.bench.telemetry``).
 """
 
-import contextlib
 import os
 import pathlib
 import time
@@ -35,7 +33,6 @@ import time
 from repro import MachineConfig
 from repro.bench import PerfLog
 from repro.cluster.faults import FaultConfig
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.serve import (
     DONE,
     ResiliencePolicy,
@@ -60,7 +57,6 @@ BURST_SIZE = 8
 BURST_GAP = 0.25
 MAX_FUSED_K = 64
 MAX_BATCH_DELAY = 0.05
-POOLED_WIDTH = 4
 
 CHAOS_INTENSITY = 0.5
 CRASH_RATE = 0.4 * CHAOS_INTENSITY
@@ -70,22 +66,6 @@ MAX_RETRIES = 4
 HEDGE_DELAY = 0.05
 
 AVAILABILITY_FLOOR = 0.99
-
-
-@contextlib.contextmanager
-def pool_width(width: int):
-    """Pin ``REPRO_EXEC_WORKERS`` and rebuild the global pool."""
-    old = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = str(width)
-    shutdown_exec_pool()
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = old
-        shutdown_exec_pool()
 
 
 def effective_p99(report) -> float:
@@ -144,14 +124,16 @@ def run_resilience_experiment():
 
     reports = {}
     walls = {}
-    for width in (1, POOLED_WIDTH):
-        with pool_width(width):
-            reports[f"resilient_w{width}"], walls[f"resilient_w{width}"] = (
-                replay(matrices, trace, resilient_policy, chaos_faults())
-            )
-            reports[f"single_w{width}"], walls[f"single_w{width}"] = (
-                replay(matrices, trace, single_policy, chaos_faults())
-            )
+    replays = {}
+    for mode, resilience in (
+        ("resilient", resilient_policy), ("single", single_policy),
+    ):
+        reports[mode], walls[mode] = replay(
+            matrices, trace, resilience, chaos_faults()
+        )
+        replays[mode], _ = replay(
+            matrices, trace, resilience, chaos_faults()
+        )
 
     # Fault-free reference for the exactness contract.
     reference = ServeScheduler(
@@ -170,29 +152,28 @@ def run_resilience_experiment():
                     key, o.request_id,
                 )
 
-    # Contract 2: same seeds replay identically at widths 1 and 4 —
-    # routing, retries, hedges, breakers, sheds, and output bytes.
+    # Contract 2: same seeds replay identically — routing, retries,
+    # hedges, breakers, sheds, and output bytes.
     for mode in ("resilient", "single"):
-        narrow = reports[f"{mode}_w1"]
-        wide = reports[f"{mode}_w{POOLED_WIDTH}"]
-        assert narrow.counter_trace() == wide.counter_trace(), mode
-        assert narrow.replica_stats == wide.replica_stats, mode
-        assert narrow.serving_summary() == wide.serving_summary(), mode
-        for a, b in zip(narrow.outcomes, wide.outcomes):
+        first, second = reports[mode], replays[mode]
+        assert first.counter_trace() == second.counter_trace(), mode
+        assert first.replica_stats == second.replica_stats, mode
+        assert first.serving_summary() == second.serving_summary(), mode
+        for a, b in zip(first.outcomes, second.outcomes):
             assert a.status == b.status
             if a.status == DONE:
                 assert a.C.tobytes() == b.C.tobytes()
 
-    rs = reports["resilient_w1"].serving_summary()
-    ss = reports["single_w1"].serving_summary()
+    rs = reports["resilient"].serving_summary()
+    ss = reports["single"].serving_summary()
 
     # Contract 3: availability and tail latency under chaos.
-    res_p99 = effective_p99(reports["resilient_w1"])
-    single_p99 = effective_p99(reports["single_w1"])
+    res_p99 = effective_p99(reports["resilient"])
+    single_p99 = effective_p99(reports["single"])
     assert rs["availability"] >= AVAILABILITY_FLOOR, (rs, ss)
     assert res_p99 < single_p99, (res_p99, single_p99, rs, ss)
     # The chaos actually bit: crashes were injected and recovered.
-    assert reports["resilient_w1"].crashes > 0
+    assert reports["resilient"].crashes > 0
     assert rs["availability"] >= ss["availability"]
 
     record = {
@@ -221,8 +202,7 @@ def run_resilience_experiment():
         "completed_p99_latency": rs["p99_latency"],
         "single_completed_p99_latency": ss["p99_latency"],
         "byte_identical_to_fault_free": True,
-        "replay_identical_across_widths": True,
-        "pooled_width": POOLED_WIDTH,
+        "replay_reproducible": True,
         "host_cpus": os.cpu_count(),
         "resilient_summary": rs,
         "single_summary": ss,
@@ -240,7 +220,7 @@ def test_pr10_resilient_serving(benchmark, results_dir):
         log.record_serve_cell(
             name=f"{HOT_MATRIX}/serve-resilient/{key}",
             matrix=HOT_MATRIX,
-            algorithm=f"TwoFace/{key.split('_')[0]}",
+            algorithm=f"TwoFace/{key}",
             k=REQUEST_K,
             n_nodes=N_NODES,
             serving=report.serving_summary(),

@@ -1,15 +1,12 @@
 """Perf telemetry for the planning pipeline (``BENCH_PR3.json``).
 
-Three measurements, all host-side (simulated seconds must not move):
+Two measurements, all host-side (simulated seconds must not move):
 
 * Cold vs warm planning through the content-addressed plan cache: a
   cold ``cached_preprocess`` (classify + build + store) against a warm
   memory-layer hit and a warm disk-layer hit (fresh cache instance,
   same directory).  The memory hit must be >= 5x faster than the cold
   build; the counters confirm which layer served each call.
-* Parallel planning: the same plan built at ``REPRO_PLAN_WORKERS`` 1
-  vs 4, with ``plan_digest`` equality proving the fanned-out build is
-  bitwise identical to the serial one.
 * End-to-end fidelity: one SpMM executed from the cold-built plan and
   one from a cache-hit plan — bitwise identical C and identical
   simulated seconds, i.e. the cache changes where the plan comes from,
@@ -19,7 +16,6 @@ Everything lands in ``BENCH_PR3.json`` at the repository root (schema
 ``repro-perf/3``; see ``repro.bench.telemetry``).
 """
 
-import os
 import pathlib
 import time
 
@@ -35,10 +31,8 @@ from repro.core.plancache import (
     plan_cache_stats,
     reset_plan_cache_stats,
 )
-from repro.core.preprocess import preprocess
 from repro.core.serialize import plan_digest
 from repro.dist import DistSparseMatrix, RowPartition
-from repro.runtime.pool import shutdown_plan_pool
 from repro.sparse.suite import stripe_width_for
 
 from conftest import bench_size, emit
@@ -49,7 +43,6 @@ MATRIX = "kmer"  # Table 1's most async-heavy matrix
 K = 32
 N_NODES = 8
 WARM_REPEATS = 5
-PLAN_WIDTH = 4
 WARM_SPEEDUP_FLOOR = 5.0
 
 
@@ -126,38 +119,6 @@ def run_cache_experiment(harness, machine, cache_dir):
     return out, cold_plan
 
 
-def run_parallel_plan_experiment(harness, machine):
-    """The same plan built serial vs fanned across the planning pool."""
-    dist = _dist(harness)
-    width = stripe_width_for(dist.shape[0])
-    out = {
-        "matrix": MATRIX,
-        "k": K,
-        "n_nodes": N_NODES,
-        "plan_workers": PLAN_WIDTH,
-        "host_cpus": os.cpu_count(),
-    }
-    digests = {}
-    for name, workers in (("serial", 1), ("parallel", PLAN_WIDTH)):
-        shutdown_plan_pool()
-        plan = None
-        started = time.perf_counter()
-        for _ in range(3):
-            plan, _ = preprocess(
-                dist, K, width, machine=machine, coeffs=harness.coeffs,
-                plan_workers=workers,
-            )
-        out[f"{name}_wall_seconds"] = (time.perf_counter() - started) / 3
-        digests[name] = plan_digest(plan)
-    shutdown_plan_pool()
-    assert digests["serial"] == digests["parallel"]
-    out["bit_identical"] = True
-    out["speedup"] = (
-        out["serial_wall_seconds"] / out["parallel_wall_seconds"]
-    )
-    return out
-
-
 def run_fidelity_experiment(harness, machine, cold_plan, cache_dir):
     """A cache-hit plan must execute exactly like the cold-built one."""
     A = harness.matrix(MATRIX)
@@ -196,13 +157,12 @@ def test_pr3_perf_telemetry(benchmark, harness, results_dir, tmp_path):
         cache, cold_plan = run_cache_experiment(
             harness, machine, cache_dir
         )
-        parallel = run_parallel_plan_experiment(harness, machine)
         fidelity = run_fidelity_experiment(
             harness, machine, cold_plan, cache_dir
         )
-        return cache, parallel, fidelity
+        return cache, fidelity
 
-    cache, parallel, fidelity = benchmark.pedantic(
+    cache, fidelity = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
 
@@ -229,7 +189,6 @@ def test_pr3_perf_telemetry(benchmark, harness, results_dir, tmp_path):
     log.cells[1].plan_hits = cache["cache_stats"]["hits"]
     log.cells[2].plan_hits = 1
     log.record_experiment("plan_cache", cache)
-    log.record_experiment("parallel_planning", parallel)
     log.record_experiment("execution_fidelity", fidelity)
     log.write(REPO_ROOT / "BENCH_PR3.json")
 
@@ -238,14 +197,13 @@ def test_pr3_perf_telemetry(benchmark, harness, results_dir, tmp_path):
         "pr3_perf",
         ["metric", "value"],
         [[key, cache[key]] for key in sorted(cache) if key != "cache_stats"]
-        + [[f"parallel.{key}", parallel[key]] for key in sorted(parallel)]
         + [[f"fidelity.{key}", fidelity[key]] for key in sorted(fidelity)],
-        "Plan cache: cold vs warm planning; parallel planning",
+        "Plan cache: cold vs warm planning",
     )
 
     # Determinism held (asserted inside the experiments); the simulated
     # seconds are identical whichever way the plan was obtained.
-    assert cache["bit_identical"] and parallel["bit_identical"]
+    assert cache["bit_identical"]
     assert (
         fidelity["simulated_seconds_cold_plan"]
         == fidelity["simulated_seconds_cached_plan"]

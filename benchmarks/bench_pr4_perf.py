@@ -9,13 +9,12 @@ Two measurements, both host-side (simulated seconds must not move):
   :class:`~repro.core.formats.ReduceSchedule`-style geometry.  Target
   >= 3x per-call speedup on default-size matrices.
 * Repeated executions of one finalised 8-node force-all-async plan on
-  ``kmer`` under ``REPRO_SCATTER=segmented`` vs ``atomic`` at pool
-  widths 1 and 4.  Simulated seconds, per-node lane breakdowns,
-  traffic counters, and the event log must be *bitwise* identical
-  between the modes; ``C`` must agree within 1e-12 relative tolerance
-  (summation order changes) while staying byte-identical across
-  repeated runs and widths *within* each mode; the arenas must stop
-  growing after warm-up at every width (zero steady-state
+  ``kmer`` under ``REPRO_SCATTER=segmented`` vs ``atomic``.  Simulated
+  seconds, per-node lane breakdowns, traffic counters, and the event
+  log must be *bitwise* identical between the modes; ``C`` must agree
+  within 1e-12 relative tolerance (summation order changes) while
+  staying byte-identical across repeated runs *within* each mode; the
+  arena must stop growing after the first execution (zero steady-state
   allocations); and the segmented engine must be >= 1.5x faster per
   execution on default-size matrices.
 
@@ -33,13 +32,7 @@ import numpy as np
 from repro import MachineConfig
 from repro.algorithms.twoface import TwoFace
 from repro.bench import PerfLog
-from repro.cluster.buffers import arena_stats, reset_arenas, warm_arenas
-from repro.core.executor import arena_ceilings
-from repro.runtime.pool import (
-    WORKERS_ENV,
-    get_exec_pool,
-    shutdown_exec_pool,
-)
+from repro.cluster.buffers import arena_stats, reset_arenas
 from repro.sparse import (
     SCATTER_ENV,
     SUITE,
@@ -59,7 +52,6 @@ K = 32
 N_NODES = 8
 KERNEL_REPEATS = 5
 E2E_REPEATS = 5
-POOLED_WIDTH = 4
 KERNEL_SPEEDUP_FLOOR = 3.0
 E2E_SPEEDUP_FLOOR = 1.5
 
@@ -76,15 +68,6 @@ def env_var(name: str, value: str):
             os.environ.pop(name, None)
         else:
             os.environ[name] = old
-
-
-@contextlib.contextmanager
-def pool_width(width: int):
-    """Pin ``REPRO_EXEC_WORKERS`` and rebuild the global pool."""
-    with env_var(WORKERS_ENV, str(width)):
-        shutdown_exec_pool()
-        yield
-    shutdown_exec_pool()
 
 
 def _timed(fn, repeats):
@@ -148,7 +131,6 @@ def run_e2e_experiment(harness, machine):
     first = TwoFace(coeffs=harness.coeffs, force_all_async=True)
     first.run(A, B, machine)
     plan = first.last_plan
-    ceilings = arena_ceilings(plan, K)
 
     def execute():
         return TwoFace(coeffs=harness.coeffs, plan=plan).run(A, B, machine)
@@ -159,37 +141,33 @@ def run_e2e_experiment(harness, machine):
         "k": K,
         "n_nodes": machine.n_nodes,
         "repeats": E2E_REPEATS,
-        "pooled_width": POOLED_WIDTH,
         "host_cpus": os.cpu_count(),
     }
     results = {}
     scatter_deltas = {}
     blobs = {}
-    for mode in ("segmented", "atomic"):
-        for width in (1, POOLED_WIDTH):
-            key = f"{mode}_w{width}"
-            with env_var(SCATTER_ENV, mode), pool_width(width):
-                reset_arenas(release_buffers=True)
-                warm_arenas(get_exec_pool(), ceilings)
-                execute()  # warm-up execution outside the arena window
-                warm = arena_stats()
-                before = scatter_stats().snapshot()
-                started = time.perf_counter()
-                runs = [execute() for _ in range(E2E_REPEATS)]
-                seconds = (time.perf_counter() - started) / E2E_REPEATS
-                steady = arena_stats()
-                scatter_deltas[key] = tuple(
-                    now - b
-                    for now, b in zip(scatter_stats().snapshot(), before)
-                )
-                results[key] = runs[-1]
-                blobs[key] = {run.C.tobytes() for run in runs}
-                out[f"{key}_wall_seconds_per_execution"] = seconds
-                out[f"{key}_arena_steady_grows"] = steady.grows - warm.grows
-                out[f"{key}_arena_steady_hits"] = steady.hits - warm.hits
+    for key in ("segmented", "atomic"):
+        with env_var(SCATTER_ENV, key):
+            reset_arenas(release_buffers=True)
+            execute()  # the first execution sizes the arena
+            warm = arena_stats()
+            before = scatter_stats().snapshot()
+            started = time.perf_counter()
+            runs = [execute() for _ in range(E2E_REPEATS)]
+            seconds = (time.perf_counter() - started) / E2E_REPEATS
+            steady = arena_stats()
+            scatter_deltas[key] = tuple(
+                now - b
+                for now, b in zip(scatter_stats().snapshot(), before)
+            )
+            results[key] = runs[-1]
+            blobs[key] = {run.C.tobytes() for run in runs}
+            out[f"{key}_wall_seconds_per_execution"] = seconds
+            out[f"{key}_arena_steady_grows"] = steady.grows - warm.grows
+            out[f"{key}_arena_steady_hits"] = steady.hits - warm.hits
 
-    # Contract 1: the simulation is bitwise mode- and width-blind.
-    reference = results["segmented_w1"]
+    # Contract 1: the simulation is bitwise mode-blind.
+    reference = results["segmented"]
     for key, result in results.items():
         assert not result.failed
         assert result.seconds == reference.seconds
@@ -200,17 +178,16 @@ def run_e2e_experiment(harness, machine):
         assert result.traffic == reference.traffic
         assert result.events == reference.events
 
-    # Contract 2: C is byte-reproducible across runs and widths within a
-    # mode (the plan-time permutation fixes the summation order)...
+    # Contract 2: C is byte-reproducible across runs within a mode (the
+    # plan-time permutation fixes the summation order)...
     for mode in ("segmented", "atomic"):
-        mode_blobs = blobs[f"{mode}_w1"] | blobs[f"{mode}_w{POOLED_WIDTH}"]
-        assert len(mode_blobs) == 1
+        assert len(blobs[mode]) == 1
     # ...and only allclose ACROSS modes (summation order differs).
     np.testing.assert_allclose(
-        results["segmented_w1"].C, results["atomic_w1"].C, rtol=1e-12
+        results["segmented"].C, results["atomic"].C, rtol=1e-12
     )
 
-    # Contract 3: zero steady-state allocations at every width.
+    # Contract 3: zero steady-state allocations.
     for key in results:
         assert out[f"{key}_arena_steady_grows"] == 0
         assert out[f"{key}_arena_steady_hits"] > 0
@@ -218,10 +195,9 @@ def run_e2e_experiment(harness, machine):
     # The kernels report through their own counters.
     total_stripes = plan.total_async_stripes()
     for mode, field in (("segmented", 0), ("atomic", 1)):
-        for width in (1, POOLED_WIDTH):
-            delta = scatter_deltas[f"{mode}_w{width}"]
-            assert delta[field] == E2E_REPEATS * total_stripes
-            assert delta[1 - field] == 0
+        delta = scatter_deltas[mode]
+        assert delta[field] == E2E_REPEATS * total_stripes
+        assert delta[1 - field] == 0
 
     out["simulated_seconds"] = reference.seconds
     out["total_async_stripes"] = total_stripes
@@ -230,13 +206,9 @@ def run_e2e_experiment(harness, machine):
     }
     out["bitwise_simulation"] = True
     out["c_bytes_deterministic"] = True
-    out["speedup_serial"] = (
-        out["atomic_w1_wall_seconds_per_execution"]
-        / out["segmented_w1_wall_seconds_per_execution"]
-    )
-    out["speedup_pooled"] = (
-        out[f"atomic_w{POOLED_WIDTH}_wall_seconds_per_execution"]
-        / out[f"segmented_w{POOLED_WIDTH}_wall_seconds_per_execution"]
+    out["speedup"] = (
+        out["atomic_wall_seconds_per_execution"]
+        / out["segmented_wall_seconds_per_execution"]
     )
     return out, scatter_deltas
 
@@ -259,27 +231,25 @@ def test_pr4_perf_telemetry(benchmark, harness, results_dir):
     for record in kernels:
         log.record_experiment(f"kernel_{record['matrix']}", record)
     for mode in ("segmented", "atomic"):
-        for width in (1, POOLED_WIDTH):
-            key = f"{mode}_w{width}"
-            log.record_cell(
-                name=f"{E2E_MATRIX}/TwoFace/k{K}/{key}",
-                matrix=E2E_MATRIX,
-                algorithm=f"TwoFace(scatter={mode})",
-                k=K,
-                n_nodes=N_NODES,
-                wall_seconds=e2e[f"{key}_wall_seconds_per_execution"],
-                simulated_seconds=e2e["simulated_seconds"],
-            )
-            # Counters were captured around each phase by hand (the
-            # snapshot-delta helper assumes one global phase).
-            cell = log.cells[-1]
-            cell.arena_hits = e2e[f"{key}_arena_steady_hits"]
-            cell.arena_grows = e2e[f"{key}_arena_steady_grows"]
-            delta = deltas[key]
-            cell.scatter_segmented = delta[0]
-            cell.scatter_atomic = delta[1]
-            cell.sync_csr_hits = delta[2]
-            cell.sync_csr_builds = delta[3]
+        log.record_cell(
+            name=f"{E2E_MATRIX}/TwoFace/k{K}/{mode}",
+            matrix=E2E_MATRIX,
+            algorithm=f"TwoFace(scatter={mode})",
+            k=K,
+            n_nodes=N_NODES,
+            wall_seconds=e2e[f"{mode}_wall_seconds_per_execution"],
+            simulated_seconds=e2e["simulated_seconds"],
+        )
+        # Counters were captured around each phase by hand (the
+        # snapshot-delta helper assumes one global phase).
+        cell = log.cells[-1]
+        cell.arena_hits = e2e[f"{mode}_arena_steady_hits"]
+        cell.arena_grows = e2e[f"{mode}_arena_steady_grows"]
+        delta = deltas[mode]
+        cell.scatter_segmented = delta[0]
+        cell.scatter_atomic = delta[1]
+        cell.sync_csr_hits = delta[2]
+        cell.sync_csr_builds = delta[3]
     log.record_experiment("repeated_execution", e2e)
     log.write(REPO_ROOT / "BENCH_PR4.json")
 
@@ -303,12 +273,12 @@ def test_pr4_perf_telemetry(benchmark, harness, results_dir):
         "Segmented scatter engine: kernel and end-to-end speedups",
     )
 
-    # Determinism held (asserted inside the experiment) and the arenas
-    # reached steady state at every (mode, width).
+    # Determinism held (asserted inside the experiment) and the arena
+    # reached steady state in both modes.
     assert e2e["bitwise_simulation"] and e2e["c_bytes_deterministic"]
     # The headline speedups hold at default scale; small smoke matrices
     # amortise the kernel too little, so they record without asserting.
     if bench_size() == "default":
         for record in kernels:
             assert record["speedup"] >= KERNEL_SPEEDUP_FLOOR, record
-        assert e2e["speedup_serial"] >= E2E_SPEEDUP_FLOOR, e2e
+        assert e2e["speedup"] >= E2E_SPEEDUP_FLOOR, e2e

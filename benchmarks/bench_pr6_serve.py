@@ -2,7 +2,7 @@
 
 Replays the acceptance trace — a bursty, hot-matrix-skewed request
 stream against the async-heavy ``kmer`` analogue at 16 nodes, request
-width K=8 — through the serving scheduler twice per pool width: fused
+width K=8 — through the serving scheduler twice per mode: fused
 (K-panel batching up to K=64) and serial (every request unbatched).
 
 Contracts asserted here:
@@ -10,8 +10,8 @@ Contracts asserted here:
 * every request's fused output slice is byte-identical to its serial
   (unbatched) execution — the classification-pin guarantee of
   DESIGN.md §8;
-* the replay is bit-identical across ``REPRO_EXEC_WORKERS`` widths 1
-  and 4 (outputs, timings, and the whole serving summary);
+* a second replay is bit-identical to the first (outputs, timings,
+  and the whole serving summary);
 * fused serving sustains >= 2x the serial simulated requests/sec at
   equal-or-better p99 latency.
 
@@ -19,14 +19,12 @@ The trajectory lands in ``BENCH_PR6.json`` at the repository root
 (schema ``repro-perf/6``; see ``repro.bench.telemetry``).
 """
 
-import contextlib
 import os
 import pathlib
 import time
 
 from repro import MachineConfig
 from repro.bench import PerfLog
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.serve import DONE, ServePolicy, ServeScheduler, hot_matrix_trace
 from repro.sparse import suite
 
@@ -48,24 +46,7 @@ BURST_SIZE = 8
 BURST_GAP = 0.02  # saturating: arrivals outpace the serial service rate
 MAX_FUSED_K = 64
 MAX_BATCH_DELAY = 0.05
-POOLED_WIDTH = 4
 SPEEDUP_FLOOR = 2.0
-
-
-@contextlib.contextmanager
-def pool_width(width: int):
-    """Pin ``REPRO_EXEC_WORKERS`` and rebuild the global pool."""
-    old = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = str(width)
-    shutdown_exec_pool()
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = old
-        shutdown_exec_pool()
 
 
 def replay(matrices, trace, fuse):
@@ -92,31 +73,26 @@ def run_serving_experiment():
     )
     reports = {}
     walls = {}
-    for width in (1, POOLED_WIDTH):
-        with pool_width(width):
-            for mode, fuse in (("fused", True), ("serial", False)):
-                key = f"{mode}_w{width}"
-                reports[key], walls[key] = replay(matrices, trace, fuse)
+    replays = {}
+    for mode, fuse in (("fused", True), ("serial", False)):
+        reports[mode], walls[mode] = replay(matrices, trace, fuse)
+        replays[mode], _ = replay(matrices, trace, fuse)
 
     # Contract 1: fused slices byte-identical to unbatched execution.
-    for width in (1, POOLED_WIDTH):
-        fused = reports[f"fused_w{width}"]
-        serial = reports[f"serial_w{width}"]
-        for fo, so in zip(fused.outcomes, serial.outcomes):
-            assert fo.status == so.status == DONE
-            assert fo.C.tobytes() == so.C.tobytes()
+    for fo, so in zip(reports["fused"].outcomes, reports["serial"].outcomes):
+        assert fo.status == so.status == DONE
+        assert fo.C.tobytes() == so.C.tobytes()
 
-    # Contract 2: the replay is bit-identical across pool widths.
+    # Contract 2: a second replay is bit-identical to the first.
     for mode in ("fused", "serial"):
-        narrow = reports[f"{mode}_w1"]
-        wide = reports[f"{mode}_w{POOLED_WIDTH}"]
-        assert narrow.serving_summary() == wide.serving_summary()
-        for a, b in zip(narrow.outcomes, wide.outcomes):
+        first, second = reports[mode], replays[mode]
+        assert first.serving_summary() == second.serving_summary()
+        for a, b in zip(first.outcomes, second.outcomes):
             assert a.completion == b.completion
             assert a.C.tobytes() == b.C.tobytes()
 
-    fs = reports["fused_w1"].serving_summary()
-    ss = reports["serial_w1"].serving_summary()
+    fs = reports["fused"].serving_summary()
+    ss = reports["serial"].serving_summary()
     speedup = fs["requests_per_sec"] / ss["requests_per_sec"]
 
     # Contract 3: >= 2x simulated throughput at equal-or-better p99.
@@ -138,8 +114,7 @@ def run_serving_experiment():
         "requests_per_sec_speedup": speedup,
         "fused_fusion_factor": fs["fusion_factor"],
         "byte_identical_slices": True,
-        "bitwise_across_widths": True,
-        "pooled_width": POOLED_WIDTH,
+        "replay_reproducible": True,
         "host_cpus": os.cpu_count(),
         "fused_summary": fs,
         "serial_summary": ss,
@@ -157,7 +132,7 @@ def test_pr6_serving_telemetry(benchmark, results_dir):
         log.record_serve_cell(
             name=f"{HOT_MATRIX}/serve/{key}",
             matrix=HOT_MATRIX,
-            algorithm=f"TwoFace/{key.split('_')[0]}",
+            algorithm=f"TwoFace/{key}",
             k=REQUEST_K,
             n_nodes=N_NODES,
             serving=report.serving_summary(),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.pool import get_exec_pool
 from .base import DistSpMMAlgorithm, RunContext
 
 
@@ -31,8 +30,7 @@ class AllGather(DistSpMMAlgorithm):
             ctx.B.partition.max_size() * k * 8, ctx.n_nodes
         )
 
-        def rank_body(rank: int) -> float:
-            # Writes only C.block(rank); pool-safe.
+        for rank in range(ctx.n_nodes):
             slab = ctx.A.slab(rank)
             if slab.nnz:
                 csr = slab.to_scipy().tocsr()
@@ -45,10 +43,6 @@ class AllGather(DistSpMMAlgorithm):
             )
             if faults is not None:
                 seconds *= faults.compute_skew(rank)
-            return seconds
-
-        comp_times = get_exec_pool().map(rank_body, ctx.n_nodes)
-        for rank in range(ctx.n_nodes):
             node = ctx.breakdown.node(rank)
             if faults is None:
                 node.sync_comm += gather_time
@@ -57,4 +51,4 @@ class AllGather(DistSpMMAlgorithm):
                 node.sync_comm += (
                     gather_time * faults.worst_incoming_scale(rank)
                 )
-            node.sync_comp += comp_times[rank]
+            node.sync_comp += seconds

@@ -11,13 +11,11 @@ show it trailing the field).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..cluster.faults import RESILIENCE_STATS, ResilienceStats
-from ..cluster.simmpi import CommAccount
-from ..runtime.pool import get_exec_pool
 from .base import DistSpMMAlgorithm, RunContext
 
 
@@ -38,15 +36,10 @@ class AsyncCoarse(DistSpMMAlgorithm):
         k = ctx.k
         faults = ctx.cluster.faults
 
-        def rank_body(
-            rank: int,
-        ) -> Optional[Tuple]:
-            # Writes only C.block(rank); SimMPI mutations deferred into
-            # the account, replayed in rank order below.
+        for rank in range(ctx.n_nodes):
             slab = ctx.A.slab(rank)
             if slab.nnz == 0:
-                return None
-            account = CommAccount()
+                continue
             resil = ResilienceStats() if faults is not None else None
             needed_blocks = np.unique(ctx.B.partition.owners_of(slab.cols))
             get_time = 0.0
@@ -61,14 +54,14 @@ class AsyncCoarse(DistSpMMAlgorithm):
                 if faults is None:
                     ctx.mpi.get_block(
                         rank, owner, block, label="B_got",
-                        charge_time=False, account=account,
+                        charge_time=False,
                     )
                     get_time += net.rget_time(int(block.nbytes), n_chunks=1)
                 else:
                     a_comm, s_comm, roots, request_seq = (
                         self._resilient_get(
                             ctx, faults, rank, owner, int(block.nbytes),
-                            account, resil, request_seq,
+                            resil, request_seq,
                         )
                     )
                     get_time += a_comm
@@ -83,16 +76,6 @@ class AsyncCoarse(DistSpMMAlgorithm):
             )
             if faults is not None:
                 comp_time *= faults.compute_skew(rank)
-            return account, get_time, comp_time, sync_time, root_costs, resil
-
-        records = get_exec_pool().map(rank_body, ctx.n_nodes)
-        for rank, record in enumerate(records):
-            if record is None:
-                continue
-            account, get_time, comp_time, sync_time, root_costs, resil = (
-                record
-            )
-            ctx.mpi.apply_account(account)
             node = ctx.breakdown.node(rank)
             # A couple of threads issue the gets concurrently.
             node.async_comm += get_time / ctx.threads.async_comm
@@ -110,7 +93,6 @@ class AsyncCoarse(DistSpMMAlgorithm):
         rank: int,
         owner: int,
         nbytes: int,
-        account: CommAccount,
         resil: ResilienceStats,
         request_seq: int,
     ) -> Tuple[float, float, list, int]:
@@ -130,21 +112,21 @@ class AsyncCoarse(DistSpMMAlgorithm):
             if not faults.rget_attempt_fails(
                 rank, owner, request_seq, attempt
             ):
-                ctx.mpi.deferred_rget_charge(
-                    rank, owner, nbytes, 1, "B_got", "B_got:block", account,
+                ctx.mpi.rget_charge(
+                    rank, owner, nbytes, 1, "B_got", "B_got:block",
                 )
                 async_comm += scale * net.rget_time(nbytes, n_chunks=1)
                 break
             resil.rget_failures += 1
             async_comm += scale * net.rget_time(nbytes, n_chunks=1)
-            ctx.mpi.deferred_rget_failure(
-                rank, owner, nbytes, f"B_got:attempt{attempt}", account,
+            ctx.mpi.rget_failure(
+                rank, owner, nbytes, f"B_got:attempt{attempt}",
             )
             attempt += 1
             if attempt >= cfg.rget_max_attempts:
                 resil.lane_fallbacks += 1
-                ctx.mpi.deferred_fallback_multicast(
-                    owner, rank, nbytes, "B_got", "B_got:fallback", account,
+                ctx.mpi.fallback_multicast(
+                    owner, rank, nbytes, "B_got", "B_got:fallback",
                 )
                 cost = scale * net.bcast_time(nbytes, 1)
                 sync_comm += cost

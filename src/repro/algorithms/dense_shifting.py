@@ -19,7 +19,6 @@ from typing import Dict
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..runtime.pool import get_exec_pool
 from .base import DistSpMMAlgorithm, RunContext
 
 
@@ -102,8 +101,7 @@ class DenseShifting(DistSpMMAlgorithm):
                 "DS_replicas", (bundle_blocks - 1) * max_block_bytes
             )
 
-        pool = get_exec_pool()
-        pieces = pool.map(lambda rank: self._bucket_slab(ctx, rank), p)
+        pieces = [self._bucket_slab(ctx, rank) for rank in range(p)]
         groups = [
             list(range(g * c, min((g + 1) * c, p))) for g in range(n_groups)
         ]
@@ -125,8 +123,8 @@ class DenseShifting(DistSpMMAlgorithm):
         shift_cost = net.p2p_time(shift_bytes)
         for step in range(n_groups):
 
-            def rank_body(rank: int) -> float:
-                # Writes only C.block(rank); pool-safe within a step.
+            comp_times = np.zeros(p)
+            for rank in range(p):
                 my_group = min(rank // c, n_groups - 1)
                 held = groups[(my_group + step) % n_groups]
                 nnz_step = 0
@@ -144,9 +142,7 @@ class DenseShifting(DistSpMMAlgorithm):
                 )
                 if faults is not None:
                     seconds *= faults.compute_skew(rank)
-                return seconds
-
-            comp_times = np.asarray(pool.map(rank_body, p))
+                comp_times[rank] = seconds
             step_max = float(comp_times.max(initial=0.0))
             is_last = step == n_groups - 1
             for rank in range(p):

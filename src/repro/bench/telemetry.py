@@ -105,7 +105,7 @@ leave the fields at their zero/empty defaults.
 
 Schema ``repro-perf/9`` adds the pluggable transport layer
 (:mod:`repro.transport`): ``transport`` names the data plane that
-executed the cell (``"sim"``, ``"shm"``, ``"mpi"``; empty = the
+executed the cell (``"sim"``, ``"shm"``; empty = the
 default simulator, recorded before the field existed).  The meaning of
 ``wall_seconds`` depends on it — for ``sim`` cells it is host time
 spent *running the simulator*, while for ``shm`` cells it is the
@@ -305,7 +305,7 @@ class PerfLog:
             grid: the run's grid cache token (e.g. ``"2d:r16x16"``;
                 empty = not recorded, 1D runs record ``"1d"``).
             transport: the data plane that executed the cell
-                (``"sim"``, ``"shm"``, ``"mpi"``; empty = default
+                (``"sim"``, ``"shm"``; empty = default
                 simulator).  Changes what ``wall_seconds`` means — see
                 the module docstring.
         """

@@ -37,6 +37,7 @@ from .algorithms import FIGURE_ALGORITHMS, algorithm_names
 from .bench import ExperimentHarness, print_table
 from .cluster import MachineConfig
 from .core import calibrate
+from .errors import ConfigurationError
 from .serve.traces import TRACE_KINDS
 from .sparse import compute_stats, suite
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--size", default="small", choices=list(suite.SIZE_CLASSES)
     )
     run.add_argument(
-        "--transport", default="sim", choices=["sim", "shm", "mpi"],
+        "--transport", default="sim", choices=["sim", "shm"],
         help=(
             "data plane: 'sim' (default) charges simulated seconds; "
             "'shm' executes on real OS processes over shared memory "
@@ -378,20 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    from .transport import get_transport
-
     harness = ExperimentHarness(size=args.size)
     machine = MachineConfig(n_nodes=args.nodes)
     transport = None
-    if args.transport != "sim":
-        if args.transport == "shm":
-            from .transport.shm import ShmTransport
+    if args.transport == "shm":
+        from .transport.shm import ShmTransport
 
-            transport = ShmTransport(
-                processes=args.processes, repeats=args.repeats
-            )
-        else:
-            transport = get_transport(args.transport)
+        transport = ShmTransport(
+            processes=args.processes, repeats=args.repeats
+        )
         if not transport.available():
             print(f"transport {args.transport!r} is not available here")
             return 2
@@ -1353,10 +1349,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` (a bad option or
+    environment value) prints one ``repro: error: <message>`` line to
+    stderr and exits with 2, the code argparse uses for usage errors.
+    """
     args = build_parser().parse_args(argv)
     np.set_printoptions(precision=4)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,9 +4,8 @@ from .buffers import (
     ArenaStats,
     FetchArena,
     arena_stats,
-    local_arena,
+    process_arena,
     reset_arenas,
-    warm_arenas,
 )
 from .faults import (
     FaultConfig,
@@ -28,7 +27,6 @@ from .machine import (
 from .network import ComputeModel, NetworkModel
 from .simmpi import (
     MAX_RECORDED_EVENTS,
-    CommAccount,
     CommEvent,
     SimMPI,
     TrafficStats,
@@ -36,7 +34,6 @@ from .simmpi import (
 
 __all__ = [
     "ArenaStats",
-    "CommAccount",
     "CommEvent",
     "Cluster",
     "ComputeModel",
@@ -56,9 +53,8 @@ __all__ = [
     "TrafficStats",
     "arena_stats",
     "compile_faults",
-    "local_arena",
+    "process_arena",
     "reset_arenas",
     "reset_resilience_stats",
     "resilience_stats",
-    "warm_arenas",
 ]

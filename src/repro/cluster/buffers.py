@@ -4,24 +4,20 @@ Each execution of an async stripe used to allocate three fresh arrays:
 the rget destination (``source[rows]``), the packed-row gather
 (``fetched[packed]``), and the per-chunk scatter product
 (``vals[:, None] * B_rows``).  All three are scratch — consumed within
-the stripe — so a per-worker, grow-only arena hands out views of
-preallocated buffers instead: after a warm-up execution sizes the
-buffers to the largest stripe, the steady state performs **zero**
-per-stripe allocations (the GNN pattern: hundreds of epochs against
-one plan).
+the stripe — so a grow-only arena hands out views of preallocated
+buffers instead: the first execution sizes the buffers to the largest
+stripe, and every later one performs **zero** per-stripe allocations
+(the GNN pattern: hundreds of epochs against one plan).
 
-Arenas are per *worker thread* (via ``threading.local``), so pooled
-rank bodies never contend or alias each other's scratch; the process
-keeps one arena per pool worker plus one for the main thread.  Hit /
-grow counters aggregate across all arenas and surface through
+Rank bodies run serially in rank order, so the process keeps a single
+arena (:func:`process_arena`).  Its hit / grow counters surface through
 ``repro.bench.telemetry`` next to the transfer-schedule cache stats.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,7 +27,7 @@ _MIN_SLOT_ELEMS = 1024
 
 
 class FetchArena:
-    """Grow-only scratch buffers of one worker thread.
+    """Grow-only scratch buffers.
 
     Buffers are keyed by slot name (``"async_fetch"``, ``"async_gather"``,
     ``"scatter"``); a request that fits the slot's current buffer is a
@@ -104,107 +100,55 @@ class FetchArena:
 
 
 # ----------------------------------------------------------------------
-# Thread-local arena registry
+# The process arena
 # ----------------------------------------------------------------------
-_TLS = threading.local()
-_REGISTRY: List[FetchArena] = []
-_REGISTRY_LOCK = threading.Lock()
+_ARENA = FetchArena()
 
 
-def local_arena() -> FetchArena:
-    """The calling thread's arena, created and registered on first use.
+def process_arena() -> FetchArena:
+    """The arena every simulated rank body draws its scratch from.
 
-    Worker threads of the process-global exec pool live across
-    executions, so their arenas — and therefore the warm buffers —
-    persist across epochs.
+    It lives for the whole process, so its buffers stay warm across
+    executions and epochs.
     """
-    arena = getattr(_TLS, "arena", None)
-    if arena is None:
-        arena = FetchArena()
-        with _REGISTRY_LOCK:
-            _REGISTRY.append(arena)
-        _TLS.arena = arena
-    return arena
+    return _ARENA
 
 
 @dataclass(frozen=True)
 class ArenaStats:
-    """Aggregate counters across every registered arena.
+    """Counters of the process arena.
 
     Attributes:
         hits: requests served from an existing buffer (zero-alloc).
         grows: requests that (re)allocated a slot buffer.
-        capacity_bytes: total bytes currently held by all arenas.
-        n_arenas: arenas alive (main thread + pool workers).
+        capacity_bytes: total bytes currently held by the arena.
     """
 
     hits: int
     grows: int
     capacity_bytes: int
-    n_arenas: int
 
     def snapshot(self) -> Tuple[int, int]:
         return (self.hits, self.grows)
 
 
 def arena_stats() -> ArenaStats:
-    """Aggregate hit/grow/capacity counters over all arenas."""
-    with _REGISTRY_LOCK:
-        arenas = list(_REGISTRY)
+    """Hit/grow/capacity counters of the process arena."""
     return ArenaStats(
-        hits=sum(a.hits for a in arenas),
-        grows=sum(a.grows for a in arenas),
-        capacity_bytes=sum(a.capacity_bytes() for a in arenas),
-        n_arenas=len(arenas),
+        hits=_ARENA.hits,
+        grows=_ARENA.grows,
+        capacity_bytes=_ARENA.capacity_bytes(),
     )
 
 
-def warm_arenas(pool, slots: Dict[str, Tuple[int, int]]) -> None:
-    """Pre-size every pool worker's arena (zero-alloc from the start).
-
-    Rank-to-worker assignment varies between executions, so organic
-    warm-up only guarantees zero steady-state allocations once *every*
-    worker has happened to serve the largest stripe.  This primes all
-    of them deterministically: a barrier forces the pool to run one
-    warm body on each distinct worker thread, which grows the named
-    slots to the given ``(n_rows, n_cols)`` ceilings.
-
-    Args:
-        pool: an :class:`~repro.runtime.pool.ExecPool` (duck-typed:
-            needs ``workers`` and ``map``); width 1 warms the calling
-            thread's arena.
-        slots: slot name -> ``(n_rows, n_cols)`` float64 ceiling.
-    """
-
-    def warm_body(arena: FetchArena) -> None:
-        for slot, (n_rows, n_cols) in slots.items():
-            hits_before = arena.hits
-            arena.request(slot, n_rows, n_cols)
-            arena.hits = hits_before  # sizing probes are not hits
-
-    if pool.workers <= 1:
-        warm_body(local_arena())
-        return
-    barrier = threading.Barrier(pool.workers)
-
-    def body(_i: int) -> None:
-        barrier.wait()  # pins one body per worker thread
-        warm_body(local_arena())
-
-    pool.map(body, pool.workers)
-
-
 def reset_arenas(release_buffers: bool = False) -> None:
-    """Zero every arena's counters (bench/test hygiene).
+    """Zero the process arena's counters (bench/test hygiene).
 
     Args:
         release_buffers: also drop the buffers, forcing a fresh
             warm-up (used to measure warm-up vs steady state).
     """
-    with _REGISTRY_LOCK:
-        arenas = list(_REGISTRY)
-    for arena in arenas:
-        arena.hits = 0
-        arena.grows = 0
-        if release_buffers:
-            arena.release()
+    _ARENA.hits = 0
+    _ARENA.grows = 0
+    if release_buffers:
+        _ARENA.release()

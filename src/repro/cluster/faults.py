@@ -8,11 +8,10 @@ cluster degrade on purpose, under a hard determinism contract:
 
 * Every fault decision is a pure function of the fault seed and
   *structural* coordinates (rank, link endpoints, per-rank request
-  sequence numbers, attempt index).  Nothing depends on wall clock,
-  Python hash seeds, thread interleaving, or pool width — so a fixed
-  seed yields bitwise-identical simulated seconds, traffic counters,
-  event logs, and ``C`` at any ``REPRO_EXEC_WORKERS`` width and under
-  either ``REPRO_SCATTER`` kernel.
+  sequence numbers, attempt index).  Nothing depends on wall clock or
+  Python hash seeds — so a fixed seed yields bitwise-identical
+  simulated seconds, traffic counters, event logs, and ``C`` on every
+  run and under either ``REPRO_SCATTER`` kernel.
 * With faults disabled (``FaultConfig`` absent or all rates zero) every
   consumer takes its original code path, byte for byte.
 
@@ -273,7 +272,7 @@ class FaultPlan:
 
         Keyed on ``config.crash_epoch`` alone (plus the crash stream),
         so whether dispatch ``n`` crashes is identical no matter which
-        replica, pool width, or transport executes it — and threading a
+        replica or transport executes it — and threading a
         fresh epoch per retry re-rolls only this decision.
         """
         rate = self.config.executor_crash_rate
@@ -388,7 +387,7 @@ class ResilienceStats:
         )
 
     def merge_from(self, other: "ResilienceStats") -> None:
-        """Fold another record in (rank-order folding of pooled bodies)."""
+        """Add another record's counters to this one."""
         self.rget_failures += other.rget_failures
         self.retries += other.retries
         self.backoff_seconds += other.backoff_seconds
@@ -400,9 +399,8 @@ class ResilienceStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-#: Process-global counters; pooled rank bodies fill local records that
-#: the executor folds back in rank order (same discipline as
-#: :data:`repro.sparse.ops.SCATTER_STATS`).
+#: Process-global counters; the resilient lanes subtotal each rank in a
+#: local record and fold it in after the rank.
 RESILIENCE_STATS = ResilienceStats()
 
 

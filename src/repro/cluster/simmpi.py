@@ -155,126 +155,6 @@ class _EventRing:
         return events
 
 
-@dataclass(frozen=True)
-class _OneSidedCharge:
-    """Accounting of one MPI_Rget/MPI_Get, applied now or deferred.
-
-    Serial execution applies the charge immediately; pooled rank
-    bodies append it to a :class:`CommAccount` and the main thread
-    replays the accounts in rank order — the charge itself is the
-    single code path, so deferred accounting is mutation-for-mutation
-    identical to serial (clock advances, ledger order, traffic counts,
-    event log).
-    """
-
-    origin: int
-    target: int
-    nbytes: int
-    n_chunks: int
-    label: str
-    detail: str
-    charge_memory: bool
-    charge_time: bool
-    time_scale: float = 1.0
-
-    def apply(self, mpi: "SimMPI") -> None:
-        node = mpi.cluster.node(self.origin)
-        if self.charge_time:
-            cost = mpi._net.rget_time(self.nbytes, n_chunks=self.n_chunks)
-            if self.time_scale != 1.0:
-                cost *= self.time_scale
-            node.advance(cost)
-        if self.charge_memory:
-            node.memory.allocate(self.label, self.nbytes)
-        mpi.traffic.onesided_bytes += self.nbytes
-        mpi.traffic.onesided_requests += 1
-        mpi.traffic._recv(self.origin, self.nbytes)
-        mpi._log("rget", self.target, self.origin, self.nbytes, self.detail)
-
-
-@dataclass(frozen=True)
-class _RgetFailureEvent:
-    """Record of a failed one-sided attempt (fault injection).
-
-    Failed attempts move no payload, so traffic byte/request counters
-    are untouched; the event log keeps the failure visible (and, being
-    a deferred op, width-deterministic).
-    """
-
-    origin: int
-    target: int
-    nbytes: int
-    detail: str
-
-    def apply(self, mpi: "SimMPI") -> None:
-        mpi._log(
-            "rget-fail", self.target, self.origin, self.nbytes, self.detail
-        )
-
-
-@dataclass(frozen=True)
-class _FallbackMulticastCharge:
-    """Accounting of a sync-lane fallback transfer (fault injection).
-
-    When an async stripe exhausts its retry budget, its rows arrive via
-    the sync multicast lane instead: collective traffic, a multicast
-    event, and the destination ledger charge.  Clock time is charged by
-    the executor into the breakdown (like every other executor-issued
-    transfer), not here.
-    """
-
-    root: int
-    dest: int
-    nbytes: int
-    label: str
-    detail: str
-    charge_memory: bool
-
-    def apply(self, mpi: "SimMPI") -> None:
-        if self.charge_memory:
-            mpi.cluster.node(self.dest).memory.allocate(
-                self.label, self.nbytes
-            )
-        mpi.traffic.collective_bytes += self.nbytes
-        mpi.traffic.collective_ops += 1
-        mpi.traffic._recv(self.dest, self.nbytes)
-        mpi._log("multicast", self.root, self.dest, self.nbytes, self.detail)
-
-
-@dataclass(frozen=True)
-class _LedgerFree:
-    """Deferred release of a named ledger allocation."""
-
-    rank: int
-    label: str
-
-    def apply(self, mpi: "SimMPI") -> None:
-        mpi.cluster.node(self.rank).memory.free(self.label)
-
-
-class CommAccount:
-    """Ordered, deferred accounting of one worker's communication.
-
-    :class:`SimMPI` is not safe to mutate from concurrent rank bodies
-    (counters, the event log, and memory ledgers are plain shared
-    state).  A worker therefore passes an account to the data-plane
-    calls: the *data movement* happens immediately (reads of shared
-    read-only blocks are thread-safe) while every counter / ledger /
-    event mutation is recorded.  The main thread replays accounts in
-    rank order via :meth:`SimMPI.apply_account`, reproducing the exact
-    mutation sequence of a serial run — including a mid-rank
-    :class:`~repro.errors.OutOfMemoryError` leaving the same partial
-    state behind.
-    """
-
-    def __init__(self) -> None:
-        self.ops: List = []
-
-    def free(self, rank: int, label: str) -> None:
-        """Record a deferred ``ledger.free(label)`` on ``rank``."""
-        self.ops.append(_LedgerFree(rank, label))
-
-
 @dataclass
 class TrafficStats:
     """Bytes and message counts by communication category.
@@ -687,11 +567,10 @@ class SimMPI:
             total_rows += count
         fetched = parts[0] if len(parts) == 1 else np.concatenate(parts)
         nbytes = int(total_rows * source.shape[1] * source.itemsize)
-        _OneSidedCharge(
+        self.rget_charge(
             origin, target, nbytes, len(chunks), label,
             f"{label}:{len(chunks)}chunks", charge_memory, charge_time,
-            self._rget_scale(origin, target),
-        ).apply(self)
+        )
         return fetched
 
     def rget_row_chunks(
@@ -706,7 +585,6 @@ class SimMPI:
         charge_memory: bool = True,
         charge_time: bool = True,
         out: np.ndarray = None,
-        account: "CommAccount" = None,
     ) -> np.ndarray:
         """Vectorised :meth:`rget_rows` taking chunk *arrays*.
 
@@ -727,9 +605,6 @@ class SimMPI:
             out: optional destination of shape ``(total_rows, K)`` (an
                 arena view); the gather writes into it instead of
                 allocating a fresh array.
-            account: when given, accounting is appended there for a
-                later main-thread :meth:`apply_account` instead of
-                mutating shared state — required off the main thread.
         """
         if origin == target:
             raise CommunicationError("rget to self is always a local access")
@@ -770,15 +645,10 @@ class SimMPI:
                 )
             fetched = np.take(source, rows, axis=0, out=out)
         nbytes = int(total_rows * source.shape[1] * source.itemsize)
-        charge = _OneSidedCharge(
+        self.rget_charge(
             origin, target, nbytes, n_chunks, label,
             f"{label}:{n_chunks}chunks", charge_memory, charge_time,
-            self._rget_scale(origin, target),
         )
-        if account is None:
-            charge.apply(self)
-        else:
-            account.ops.append(charge)
         return fetched
 
     def get_block(
@@ -789,40 +659,18 @@ class SimMPI:
         label: str,
         charge_memory: bool = True,
         charge_time: bool = True,
-        account: "CommAccount" = None,
     ) -> np.ndarray:
-        """Whole-block MPI_Get (the Async Coarse-Grained baseline).
-
-        ``account`` defers the accounting exactly as in
-        :meth:`rget_row_chunks`.
-        """
+        """Whole-block MPI_Get (the Async Coarse-Grained baseline)."""
         if origin == target:
             return block
-        nbytes = int(block.nbytes)
-        charge = _OneSidedCharge(
-            origin, target, nbytes, 1, label, f"{label}:block",
-            charge_memory, charge_time, self._rget_scale(origin, target),
+        self.rget_charge(
+            origin, target, int(block.nbytes), 1, label, f"{label}:block",
+            charge_memory, charge_time,
         )
-        if account is None:
-            charge.apply(self)
-        else:
-            account.ops.append(charge)
         return block
 
-    def apply_account(self, account: "CommAccount") -> None:
-        """Replay a worker's deferred accounting on the main thread.
-
-        Ops are applied in the order the worker issued them, so ledger
-        peaks, traffic counters, clock advances, and the event log are
-        exactly what a serial execution of that rank would have
-        produced — including raising
-        :class:`~repro.errors.OutOfMemoryError` at the same op.
-        """
-        for op in account.ops:
-            op.apply(self)
-
     # ------------------------------------------------------------------
-    # Fault-injection hooks (resilient executor lanes)
+    # One-sided accounting and fault-injection hooks
     # ------------------------------------------------------------------
     def _rget_scale(self, origin: int, target: int) -> float:
         """Link multiplier of a one-sided get (data flows target->origin)."""
@@ -830,7 +678,7 @@ class SimMPI:
             return 1.0
         return self.faults.link_scale(target, origin)
 
-    def deferred_rget_charge(
+    def rget_charge(
         self,
         origin: int,
         target: int,
@@ -838,51 +686,63 @@ class SimMPI:
         n_chunks: int,
         label: str,
         detail: str,
-        account: "CommAccount",
         charge_memory: bool = True,
         charge_time: bool = False,
     ) -> None:
-        """Append a bare rget accounting op (no data movement).
+        """Account one MPI_Rget/MPI_Get without moving data.
 
-        The resilient async lane separates data movement (one gather
-        for the whole stripe) from accounting (one charge per re-chunk
-        piece); this exposes the charge alone.
+        The single accounting path of every one-sided get.  The
+        resilient lanes call it directly: they separate data movement
+        (one gather for the whole stripe) from accounting (one charge
+        per re-chunk piece).
         """
-        account.ops.append(
-            _OneSidedCharge(
-                origin, target, nbytes, n_chunks, label, detail,
-                charge_memory, charge_time,
-                self._rget_scale(origin, target),
-            )
-        )
+        node = self.cluster.node(origin)
+        if charge_time:
+            cost = self._net.rget_time(nbytes, n_chunks=n_chunks)
+            scale = self._rget_scale(origin, target)
+            if scale != 1.0:
+                cost *= scale
+            node.advance(cost)
+        if charge_memory:
+            node.memory.allocate(label, nbytes)
+        self.traffic.onesided_bytes += nbytes
+        self.traffic.onesided_requests += 1
+        self.traffic._recv(origin, nbytes)
+        self._log("rget", target, origin, nbytes, detail)
 
-    def deferred_rget_failure(
-        self,
-        origin: int,
-        target: int,
-        nbytes: int,
-        detail: str,
-        account: "CommAccount",
+    def rget_failure(
+        self, origin: int, target: int, nbytes: int, detail: str
     ) -> None:
-        """Append a failed-attempt event (fault injection)."""
-        account.ops.append(_RgetFailureEvent(origin, target, nbytes, detail))
+        """Log a failed one-sided attempt (fault injection).
 
-    def deferred_fallback_multicast(
+        Failed attempts move no payload, so traffic byte/request
+        counters are untouched; the event log keeps the failure visible.
+        """
+        self._log("rget-fail", target, origin, nbytes, detail)
+
+    def fallback_multicast(
         self,
         root: int,
         dest: int,
         nbytes: int,
         label: str,
         detail: str,
-        account: "CommAccount",
         charge_memory: bool = True,
     ) -> None:
-        """Append the accounting of a sync-lane fallback transfer."""
-        account.ops.append(
-            _FallbackMulticastCharge(
-                root, dest, nbytes, label, detail, charge_memory
-            )
-        )
+        """Account a sync-lane fallback transfer (fault injection).
+
+        When an async stripe exhausts its retry budget, its rows arrive
+        via the sync multicast lane instead: collective traffic, a
+        multicast event, and the destination ledger charge.  Clock time
+        is charged by the caller into the breakdown (like every other
+        executor-issued transfer), not here.
+        """
+        if charge_memory:
+            self.cluster.node(dest).memory.allocate(label, nbytes)
+        self.traffic.collective_bytes += nbytes
+        self.traffic.collective_ops += 1
+        self.traffic._recv(dest, nbytes)
+        self._log("multicast", root, dest, nbytes, detail)
 
     # ------------------------------------------------------------------
     # Utilities

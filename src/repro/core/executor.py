@@ -14,28 +14,22 @@ cluster.  Per node, two lanes run in parallel:
 A node finishes at ``max(sync lane, async lane) + other``; the cluster
 finishes with its slowest node.
 
-Host-side, the per-rank bodies of both compute phases fan out across
-the :mod:`repro.runtime.pool` worker pool (``REPRO_EXEC_WORKERS``;
-default serial): each rank body writes only its own ``C`` block, draws
-scratch from its worker's fetch-buffer arena, and returns an immutable
-accounting record; the main thread folds the records into the
-breakdown, memory ledgers, and SimMPI counters in rank order, so the
-simulated seconds and event log are bit-identical at any pool width.
+The lanes are concurrent only in simulated time.  Host-side, each
+phase is a plain loop over the ranks in rank order that applies its
+SimMPI accounting as it goes and draws scratch from the process
+fetch-buffer arena.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..algorithms.base import RunContext
-from ..cluster.buffers import local_arena
+from ..cluster.buffers import process_arena
 from ..cluster.faults import RESILIENCE_STATS, FaultPlan, ResilienceStats
-from ..cluster.simmpi import CommAccount
 from ..errors import OutOfMemoryError, PartitionError
-from ..runtime.pool import get_exec_pool
 from ..runtime.threads import max_coalescing_gap
 from ..sparse.ops import (
     SCATTER_SEGMENTED,
@@ -45,7 +39,6 @@ from ..sparse.ops import (
     scatter_mode,
     segmented_reduce_into,
 )
-from .formats import TRANSFER_CACHE, TransferCacheStats
 from .plan import TwoFacePlan
 from .sampling_mask import SampleMask
 
@@ -58,15 +51,13 @@ TWOFACE_SETUP_SECONDS = 3.0e-5
 def arena_ceilings(plan: TwoFacePlan, k: int) -> dict:
     """Per-slot ``(n_rows, n_cols)`` arena ceilings of a plan.
 
-    Feed to :func:`~repro.cluster.buffers.warm_arenas` to pre-size
-    every pool worker's scratch for this plan's largest async stripe,
-    pinning steady-state executions at zero per-stripe allocations
-    regardless of how ranks land on workers.
+    The scratch this plan's largest async stripe needs; the
+    shared-memory transport sizes each worker's arena segments with it.
 
     A plan whose schedules were never finalised (hand-assembled in a
     test, legacy deserialisation path) is finalised here first —
     otherwise the fetch ceiling would silently degenerate to one row
-    and ``warm_arenas`` would undersize every worker.
+    and undersize every arena.
     """
     from ..sparse.ops import _SCATTER_CHUNK_ELEMS
 
@@ -123,7 +114,7 @@ def accumulate_async_stripe(
         packed: the schedule's per-nonzero fetched-row index.
         vals: the stripe's nonzero values.
         segmented: pre-resolved ``scatter_mode() == SCATTER_SEGMENTED``.
-        arena: the worker's :class:`~repro.cluster.buffers.FetchArena`.
+        arena: the scratch :class:`~repro.cluster.buffers.FetchArena`.
         scatter: counter sink.
         keep: optional per-nonzero sampling mask (None = all live).
     """
@@ -186,10 +177,9 @@ def execute_plan(
     for node in ctx.breakdown.nodes:
         node.other += TWOFACE_SETUP_SECONDS
 
-    pool = get_exec_pool()
     _sync_transfers(plan, ctx)
-    _async_lane(plan, ctx, pool, mask)
-    _sync_compute(plan, ctx, pool, mask)
+    _async_lane(plan, ctx, mask)
+    _sync_compute(plan, ctx, mask)
 
 
 # ----------------------------------------------------------------------
@@ -229,26 +219,6 @@ def _sync_transfers(plan: TwoFacePlan, ctx: RunContext) -> None:
 # ----------------------------------------------------------------------
 # Phase 2: asynchronous stripes (Algorithm 1 lines 9-14, Algorithm 3)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _AsyncRankRecord:
-    """One rank's async-lane results, folded on the main thread.
-
-    ``sync_comm_seconds`` and ``fallback_root_costs`` are only nonzero
-    under fault injection: they carry the sync-lane cost of fallback
-    multicasts (destination side and owner side respectively), folded
-    in rank order so the breakdown stays width-deterministic.
-    """
-
-    account: CommAccount
-    cache: TransferCacheStats
-    scatter: ScatterStats
-    comm_seconds: float
-    comp_seconds: float
-    sync_comm_seconds: float = 0.0
-    fallback_root_costs: Tuple[Tuple[int, float], ...] = ()
-    resilience: Optional[ResilienceStats] = None
-
-
 def _rechunk_boundaries(
     chunk_sizes: np.ndarray, max_piece_rows: int
 ) -> Optional[List[Tuple[int, int, int]]]:
@@ -282,7 +252,6 @@ def _resilient_fetch_accounting(
     schedule,
     row_bytes: int,
     headroom: int,
-    account: CommAccount,
     resil: ResilienceStats,
     request_seq: int,
 ) -> Tuple[float, float, List[Tuple[int, float]], int]:
@@ -334,7 +303,7 @@ def _resilient_fetch_accounting(
             # Streamed re-chunking: the previous piece's rows are
             # consumed and released before the next piece arrives, so
             # the ledger peak is one piece, not the whole stripe.
-            account.free(rank, "async_rows")
+            ledger.free("async_rows")
         piece_bytes = piece_rows * row_bytes
         piece_chunks = chunk_hi - chunk_lo
         attempt = 0
@@ -342,9 +311,9 @@ def _resilient_fetch_accounting(
             if not faults.rget_attempt_fails(
                 rank, owner, request_seq, attempt
             ):
-                ctx.mpi.deferred_rget_charge(
+                ctx.mpi.rget_charge(
                     rank, owner, piece_bytes, piece_chunks, "async_rows",
-                    f"async_rows:{piece_chunks}chunks", account,
+                    f"async_rows:{piece_chunks}chunks",
                 )
                 async_comm += scale * net.rget_time(
                     piece_bytes, n_chunks=piece_chunks
@@ -356,9 +325,8 @@ def _resilient_fetch_accounting(
             async_comm += scale * net.rget_time(
                 piece_bytes, n_chunks=piece_chunks
             )
-            ctx.mpi.deferred_rget_failure(
-                rank, owner, piece_bytes,
-                f"async_rows:attempt{attempt}", account,
+            ctx.mpi.rget_failure(
+                rank, owner, piece_bytes, f"async_rows:attempt{attempt}",
             )
             attempt += 1
             if attempt >= cfg.rget_max_attempts:
@@ -366,9 +334,9 @@ def _resilient_fetch_accounting(
                 # sync multicast lane (owner pushes the rows), at
                 # collective rates, still over the degraded link.
                 resil.lane_fallbacks += 1
-                ctx.mpi.deferred_fallback_multicast(
+                ctx.mpi.fallback_multicast(
                     owner, rank, piece_bytes, "async_rows",
-                    "async_rows:fallback", account,
+                    "async_rows:fallback",
                 )
                 cost = scale * net.bcast_time(piece_bytes, 1)
                 sync_comm += cost
@@ -385,7 +353,6 @@ def _resilient_fetch_accounting(
 def _async_lane(
     plan: TwoFacePlan,
     ctx: RunContext,
-    pool,
     mask: Optional[SampleMask] = None,
 ) -> None:
     net = ctx.machine.network
@@ -395,27 +362,23 @@ def _async_lane(
     faults = ctx.cluster.faults
     # Resolve the knob once so one execution never mixes kernels.
     segmented = scatter_mode() == SCATTER_SEGMENTED
+    arena = process_arena()
 
-    def rank_body(rank: int) -> _AsyncRankRecord:
-        # Writes only C.block(rank) and this worker's arena; every
-        # shared-state mutation is deferred into the returned record.
-        arena = local_arena()
-        account = CommAccount()
-        cache = TransferCacheStats()
-        scatter = ScatterStats()
+    for rank in range(ctx.n_nodes):
         rank_plan = plan.rank_plan(rank)
         c_block = ctx.C.block(rank)
         comm_seconds = 0.0
         comp_seconds = 0.0
         sync_comm_seconds = 0.0
         root_costs: List[Tuple[int, float]] = []
-        resil = ResilienceStats() if faults is not None else None
         request_seq = 0
         if faults is not None:
-            # The ledger is static while rank bodies run (deferred
-            # accounting replays after the pool joins), and every
-            # stripe frees its rows, so one headroom figure serves the
-            # whole body — deterministically, at any pool width.
+            # Resilience counters are subtotalled per rank and folded
+            # into the process totals after the rank, which fixes the
+            # float summation order of the backoff seconds.
+            resil = ResilienceStats()
+            # Every stripe frees its rows and the other ranks' ops touch
+            # other ledgers, so one headroom figure serves the whole rank.
             ledger = ctx.cluster.node(rank).memory
             headroom = ledger.capacity - ledger.current
             skew = faults.compute_skew(rank)
@@ -428,8 +391,7 @@ def _async_lane(
                     "classified asynchronous"
                 )
             block_start, _ = ctx.B.partition.bounds(stripe.owner)
-            schedule = stripe.ensure_schedule(block_start, max_gap,
-                                              stats=cache)
+            schedule = stripe.ensure_schedule(block_start, max_gap)
             # The cached packed map lands each nonzero's global c_id on
             # its fetched row; coverage is validated once per schedule
             # (the memoised verdict on the stripe) so steady-state
@@ -452,7 +414,6 @@ def _async_lane(
                         "async_fetch", len(rows), block.shape[1],
                         block.dtype,
                     ),
-                    account=account,
                 )
                 comm_seconds += net.rget_time(
                     int(fetched.nbytes), n_chunks=schedule.n_chunks
@@ -471,7 +432,7 @@ def _async_lane(
                     _resilient_fetch_accounting(
                         ctx, faults, rank, stripe.owner, schedule,
                         int(block.shape[1] * block.itemsize), headroom,
-                        account, resil, request_seq,
+                        resil, request_seq,
                     )
                 )
                 comm_seconds += a_comm
@@ -493,7 +454,7 @@ def _async_lane(
             # products.
             accumulate_async_stripe(
                 c_block, fetched, stripe, packed, vals, segmented,
-                arena, scatter, keep=keep,
+                arena, SCATTER_STATS, keep=keep,
             )
             stripe_comp = compute.async_stripe_time(
                 nnz_live, k, ctx.threads.async_comp, n_stripes=1
@@ -501,27 +462,14 @@ def _async_lane(
             if faults is not None:
                 stripe_comp *= skew
             comp_seconds += stripe_comp
-            account.free(rank, "async_rows")
-        return _AsyncRankRecord(
-            account, cache, scatter, comm_seconds, comp_seconds,
-            sync_comm_seconds, tuple(root_costs), resil,
-        )
-
-    records = pool.map(rank_body, ctx.n_nodes)
-    for rank, rec in enumerate(records):
-        ctx.mpi.apply_account(rec.account)
-        TRANSFER_CACHE.hits += rec.cache.hits
-        TRANSFER_CACHE.recomputes += rec.cache.recomputes
-        SCATTER_STATS.merge_from(rec.scatter)
+            ctx.cluster.node(rank).memory.free("async_rows")
         node_breakdown = ctx.breakdown.node(rank)
-        node_breakdown.async_comp += rec.comp_seconds
-        node_breakdown.async_comm += (
-            rec.comm_seconds / ctx.threads.async_comm
-        )
-        if rec.resilience is not None:
-            RESILIENCE_STATS.merge_from(rec.resilience)
-            node_breakdown.sync_comm += rec.sync_comm_seconds
-            for owner, cost in rec.fallback_root_costs:
+        node_breakdown.async_comp += comp_seconds
+        node_breakdown.async_comm += comm_seconds / ctx.threads.async_comm
+        if faults is not None:
+            RESILIENCE_STATS.merge_from(resil)
+            node_breakdown.sync_comm += sync_comm_seconds
+            for owner, cost in root_costs:
                 ctx.breakdown.node(owner).sync_comm += cost
 
 
@@ -531,27 +479,24 @@ def _async_lane(
 def _sync_compute(
     plan: TwoFacePlan,
     ctx: RunContext,
-    pool,
     mask: Optional[SampleMask] = None,
 ) -> None:
     compute = ctx.machine.compute
     k = ctx.k
     faults = ctx.cluster.faults
 
-    def rank_body(rank: int):
-        rank_plan = plan.rank_plan(rank)
-        sync_local = rank_plan.sync_local
-        scatter = ScatterStats()
+    for rank in range(ctx.n_nodes):
+        sync_local = plan.rank_plan(rank).sync_local
         nnz_live = sync_local.nnz
         if sync_local.nnz:
-            csr = sync_local.scipy_handle(stats=scatter)
+            csr = sync_local.scipy_handle()
             if mask is not None:
                 keep = mask.sync_masks[rank]
                 nnz_live = int(np.count_nonzero(keep))
                 if nnz_live != sync_local.nnz:
                     # Rewrap instead of csr.copy(): shares the cached
                     # index arrays and allocates only the masked data.
-                    csr = sync_local.masked_handle(keep, stats=scatter)
+                    csr = sync_local.masked_handle(keep)
             ctx.C.block(rank)[:] += csr @ ctx.B.data
         seconds = compute.sync_panel_time(
             nnz_live, k, sync_local.nonempty_rows(),
@@ -559,9 +504,4 @@ def _sync_compute(
         ) + sync_local.n_panels * compute.panel_overhead
         if faults is not None:
             seconds *= faults.compute_skew(rank)
-        return seconds, scatter
-
-    records = pool.map(rank_body, ctx.n_nodes)
-    for rank, (comp_seconds, scatter) in enumerate(records):
-        SCATTER_STATS.merge_from(scatter)
-        ctx.breakdown.node(rank).sync_comp += comp_seconds
+        ctx.breakdown.node(rank).sync_comp += seconds

@@ -284,8 +284,7 @@ class SyncLocalMatrix:
         Args:
             stats: counter sink for ``sync_csr_hits``/``sync_csr_builds``;
                 defaults to the process-global
-                :data:`~repro.sparse.ops.SCATTER_STATS` (pooled rank
-                bodies pass a local record instead).
+                :data:`~repro.sparse.ops.SCATTER_STATS`.
         """
         sink = SCATTER_STATS if stats is None else stats
         cached = self._scipy
@@ -425,10 +424,7 @@ class AsyncStripe:
 
         Args:
             stats: counter sink; defaults to the process-global
-                :data:`TRANSFER_CACHE`.  Pooled rank bodies pass a
-                local record instead (the global counters are not safe
-                to mutate concurrently) and the executor folds the
-                records back in rank order.
+                :data:`TRANSFER_CACHE`.
         """
         sink = TRANSFER_CACHE if stats is None else stats
         if self.schedule is None:

@@ -527,7 +527,6 @@ def cached_preprocess(
     force_all_async: bool = False,
     force_all_sync: bool = False,
     classify_override: Optional[Callable] = None,
-    plan_workers: Optional[int] = None,
     cache: PlanCacheLike = AUTO,
     classify_k: Optional[int] = None,
     grid=None,
@@ -551,7 +550,6 @@ def cached_preprocess(
             force_all_async=force_all_async,
             force_all_sync=force_all_sync,
             classify_override=classify_override,
-            plan_workers=plan_workers,
             classify_k=classify_k,
             grid=grid,
         )
@@ -573,7 +571,7 @@ def cached_preprocess(
         A, k, stripe_width, coeffs=coeffs, machine=machine,
         panel_height=panel_height, cost_model=cost_model,
         force_all_async=force_all_async, force_all_sync=force_all_sync,
-        plan_workers=plan_workers, classify_k=classify_k,
+        classify_k=classify_k,
     )
     cache.put(key, plan)
     return plan, report

@@ -23,7 +23,6 @@ import numpy as np
 from ..cluster.machine import MachineConfig
 from ..dist.matrices import DistSparseMatrix
 from ..errors import ConfigurationError
-from ..runtime.pool import get_plan_pool
 from ..runtime.threads import max_coalescing_gap
 from .classifier import RankClassification, classify_rank_stripes
 from .formats import (
@@ -116,17 +115,13 @@ def preprocess(
     force_all_async: bool = False,
     force_all_sync: bool = False,
     classify_override: Optional[Callable] = None,
-    plan_workers: Optional[int] = None,
     classify_k: Optional[int] = None,
     grid=None,
 ) -> Tuple[TwoFacePlan, PreprocessReport]:
     """Classify stripes and build the Two-Face representation.
 
-    The per-rank body (stripe stats → classification → matrix
-    construction → schedule finalisation) is pure per rank, so it fans
-    out across the planning worker pool (``REPRO_PLAN_WORKERS``) and
-    the results are folded back in rank order — the plan and report are
-    bitwise identical to a serial build at any pool width.
+    Each rank is planned in turn (stripe stats → classification →
+    matrix construction → schedule finalisation), in rank order.
 
     Args:
         A: 1D-partitioned sparse matrix.
@@ -144,9 +139,6 @@ def preprocess(
             replacing the model-based classifier (used by calibration
             and ablations); local-input stripes are never async
             regardless of the mask.
-        plan_workers: planning pool width; defaults to
-            ``REPRO_PLAN_WORKERS`` (itself defaulting to
-            ``REPRO_EXEC_WORKERS``; 1 = serial).
         classify_k: when set, score and classify stripes (and evaluate
             the §6.3 memory fallback) *as if* the dense width were this
             value, while transfer schedules and execution still target
@@ -196,8 +188,9 @@ def preprocess(
 
     started = time.perf_counter()
 
-    def plan_rank(rank: int) -> RankPlan:
-        """Build one rank's plan; pure (reads only shared inputs)."""
+    rank_plans = []
+    destinations: Dict[int, list] = {}
+    for rank in range(p):
         slab = A.slab(rank)
         stats = compute_rank_stripe_stats(rank, slab, geometry)
 
@@ -229,23 +222,17 @@ def preprocess(
         # on plan-time quantities (row ids, owner block offsets, K), so
         # every later execution reuses them instead of rebuilding.
         async_matrix.finalize_schedules(geometry.col_partition, gap)
-        return RankPlan(
+        rank_plans.append(RankPlan(
             rank=rank,
             sync_local=sync_local,
             async_matrix=async_matrix,
             classification=classification,
             sync_stripe_gids=sync_gids,
-        )
-
-    rank_plans = get_plan_pool(plan_workers).map(plan_rank, p)
-
-    # Fold the shared outputs back in ascending rank order, so every
-    # destination list comes out sorted without a second pass and the
-    # result is identical to a serial build at any pool width.
-    destinations: Dict[int, list] = {}
-    for rank_plan in rank_plans:
-        for gid in rank_plan.sync_stripe_gids:
-            destinations.setdefault(int(gid), []).append(rank_plan.rank)
+        ))
+        # Ranks are visited in ascending order, so every destination
+        # list comes out sorted without a second pass.
+        for gid in sync_gids:
+            destinations.setdefault(int(gid), []).append(rank)
 
     plan = TwoFacePlan(
         geometry=geometry,

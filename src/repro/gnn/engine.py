@@ -15,13 +15,12 @@ import numpy as np
 
 from ..algorithms.base import DistSpMMAlgorithm
 from ..algorithms.twoface import TwoFace
-from ..cluster.buffers import arena_stats, warm_arenas
+from ..cluster.buffers import arena_stats
 from ..cluster.machine import MachineConfig
 from ..core.formats import transfer_cache_stats
 from ..core.model import CostCoefficients
 from ..core.plancache import AUTO, PlanCacheLike, plan_cache_stats
 from ..errors import ReproError, ShapeError
-from ..runtime.pool import get_exec_pool
 from ..sparse.coo import COOMatrix
 from ..sparse.ops import scatter_stats
 from ..sparse.suite import stripe_width_for
@@ -199,31 +198,13 @@ class DistSpMMEngine:
             "plan_stores": plan_now[4] - plan_base[4],
         }
 
-    def warm_exec_buffers(self, k: int) -> None:
-        """Pre-size every pool worker's fetch arena for width ``k``.
-
-        Rank-to-worker assignment varies between epochs, so without
-        this a worker can still grow its arena the first time it draws
-        the largest stripe.  Call after the first ``multiply`` of a
-        width (the plan must be cached) to pin steady-state epochs at
-        zero per-stripe allocations deterministically.
-        """
-        plan = self._plans.get(k)
-        if plan is None:
-            raise ReproError(
-                f"no cached plan for K={k}; run a multiply first"
-            )
-        from ..core.executor import arena_ceilings
-
-        warm_arenas(get_exec_pool(), arena_ceilings(plan, k))
-
     def exec_stats(self) -> Dict[str, int]:
-        """Worker-pool and fetch-arena activity since construction.
+        """Fetch-arena and scatter activity since construction.
 
-        The pool and the per-worker arenas are process-global, so they
-        persist across epochs: after the first epoch warms the arenas,
-        ``grows`` should stop increasing — every later SpMM reuses the
-        same scratch buffers (zero per-stripe allocations).
+        The fetch arena is process-global, so it persists across
+        epochs: after the first epoch sizes it, ``arena_grows`` stops
+        increasing — every later SpMM reuses the same scratch buffers
+        (zero per-stripe allocations).
 
         Scatter counters say which kernel served the async stripes
         (``scatter_segmented`` under the default ``REPRO_SCATTER``,
@@ -232,12 +213,10 @@ class DistSpMMEngine:
         ``sync_csr_builds`` should equal the number of distinct
         rank-local matrices, with every later epoch a ``sync_csr_hit``.
         """
-        pool = get_exec_pool()
         hits, grows = arena_stats().snapshot()
         scatter = scatter_stats().snapshot()
         base = self._scatter_baseline
         return {
-            "workers": pool.workers,
             "arena_hits": hits - self._arena_baseline[0],
             "arena_grows": grows - self._arena_baseline[1],
             "scatter_segmented": scatter[0] - base[0],

@@ -1,25 +1,11 @@
-"""Runtime support: thread allocation, worker pool, time breakdowns."""
+"""Runtime support: thread allocation, time breakdowns."""
 
-from .pool import (
-    WORKERS_ENV as EXEC_WORKERS_ENV,
-    ExecPool,
-    PoolStats,
-    exec_workers_from_env,
-    get_exec_pool,
-    shutdown_exec_pool,
-)
 from .threads import ThreadConfig, max_coalescing_gap
 from .trace import NodeBreakdown, TimeBreakdown
 
 __all__ = [
-    "EXEC_WORKERS_ENV",
-    "ExecPool",
     "NodeBreakdown",
-    "PoolStats",
     "ThreadConfig",
     "TimeBreakdown",
-    "exec_workers_from_env",
-    "get_exec_pool",
     "max_coalescing_gap",
-    "shutdown_exec_pool",
 ]

@@ -39,11 +39,11 @@ whole tenant down.  This module layers a resilience tier on top of it
 Determinism contract: every decision — routing order, retry schedule,
 breaker transitions, shed victims — is a pure function of the virtual
 clock, the request trace, and the fault seeds.  The underlying
-executor is bit-identical at any ``REPRO_EXEC_WORKERS`` width, so a
-fixed trace replays with identical routing traces and counters
-everywhere; and because injected faults never corrupt results (PR 5's
-exactness contract), every *completed* request's ``C`` slice is
-byte-identical to its fault-free run.
+executor is deterministic, so a fixed trace replays with identical
+routing traces and counters everywhere; and because injected faults
+never corrupt results (the fault layer's exactness contract), every
+*completed* request's ``C`` slice is byte-identical to its fault-free
+run.
 
 Executor crashes are injected per dispatch *attempt*: each attempt
 threads a fresh ``crash_epoch`` into the replica's
@@ -495,7 +495,7 @@ class ResilienceReport(ServeReport):
     #: One tuple per dispatched group:
     #: ``(batch_id, winner_replica, attempts, hedged, status)``.
     #: Replaying the same trace with the same seeds must reproduce
-    #: this list exactly, at any worker-pool width.
+    #: this list exactly.
     routing_trace: List[Tuple[int, int, int, bool, str]] = field(
         default_factory=list
     )

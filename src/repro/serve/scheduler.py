@@ -20,9 +20,8 @@ either way.
 
 Determinism: the loop advances on simulated time only — request
 arrivals, modelled SpMM seconds, and policy delays.  No wall clock, no
-unseeded randomness, and the underlying executor is bit-identical at
-any ``REPRO_EXEC_WORKERS`` width, so a fixed trace replays identically
-everywhere.
+unseeded randomness, and the underlying executor is deterministic, so
+a fixed trace replays identically everywhere.
 """
 
 from __future__ import annotations

@@ -117,16 +117,8 @@ class ScatterStats:
             self.sync_csr_builds,
         )
 
-    def merge_from(self, other: "ScatterStats") -> None:
-        """Fold another record in (rank-order folding of pooled bodies)."""
-        self.segmented_calls += other.segmented_calls
-        self.atomic_calls += other.atomic_calls
-        self.sync_csr_hits += other.sync_csr_hits
-        self.sync_csr_builds += other.sync_csr_builds
 
-
-#: Process-global counters; pooled rank bodies fill local records that
-#: the executor folds back in rank order, direct kernel calls count here.
+#: Process-global counters.
 SCATTER_STATS = ScatterStats()
 
 

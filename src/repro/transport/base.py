@@ -13,10 +13,10 @@ collectives         ``allgather`` / ``multicast`` / ``sendrecv_shift``
 group collectives   ``group_allgather`` / ``group_allreduce``
 synchronisation     ``barrier`` / ``_group_barrier`` / ``advance_all``
 clocks              per-node simulated clocks (``cluster.nodes[r].clock``)
-accounting          ``traffic`` counters, ``events`` log, ``apply_account``
+accounting          ``traffic`` counters, ``events`` log, ``rget_charge``
 ==================  ================================================
 
-Executor transports (shm, mpi) do not re-implement that call-by-call
+Executor transports (shm) do not re-implement that call-by-call
 surface; they take the *plan* the algorithms would have driven through
 it and execute the same kernels against real memory, returning the
 same :class:`~repro.algorithms.base.SpMMResult` shape with wall-clock

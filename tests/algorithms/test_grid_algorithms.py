@@ -3,7 +3,7 @@
 Covers the grid runner (:mod:`repro.algorithms.gridrun`): numerical
 correctness against the dense reference on every layout, bitwise
 Grid1D identity with the grid-free path, per-dimension traffic
-attribution, pooled-execution determinism, fault injection through the
+attribution, run-to-run determinism, fault injection through the
 sub-communicator views, and the precomputed-plan guard.
 """
 
@@ -16,7 +16,6 @@ from repro.algorithms.gridrun import column_subset
 from repro.cluster.faults import FaultConfig
 from repro.dist.grid import Grid1D, Grid2D, Grid15D, make_grid
 from repro.errors import PartitionError
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.sparse import COOMatrix, erdos_renyi, spmm_reference
 
 N_NODES = 8
@@ -203,33 +202,21 @@ class TestGridAccounting:
 
 
 class TestGridDeterminism:
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self):
-        shutdown_exec_pool()
-        yield
-        shutdown_exec_pool()
-
     @pytest.mark.parametrize(
         "grid",
         [Grid15D(p_r=4, c=2), Grid2D(p_r=4, p_c=2)],
         ids=lambda g: g.cache_token(),
     )
-    def test_pooled_matches_serial(
-        self, monkeypatch, grid, matrix, dense, machine
-    ):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        shutdown_exec_pool()
-        serial = TwoFace(stripe_width=8).run(
+    def test_repeated_runs_bit_identical(self, grid, matrix, dense, machine):
+        first = TwoFace(stripe_width=8).run(
             matrix, dense, machine, grid=grid
         )
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        shutdown_exec_pool()
-        pooled = TwoFace(stripe_width=8).run(
+        second = TwoFace(stripe_width=8).run(
             matrix, dense, machine, grid=grid
         )
-        assert serial.C.tobytes() == pooled.C.tobytes()
-        assert serial.seconds == pooled.seconds
-        assert serial.events == pooled.events
+        assert first.C.tobytes() == second.C.tobytes()
+        assert first.seconds == second.seconds
+        assert first.events == second.events
 
 
 class TestGridFaults:

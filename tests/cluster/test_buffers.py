@@ -1,19 +1,14 @@
 """Unit tests for the zero-copy fetch-buffer arenas."""
 
-import threading
-
 import numpy as np
-import pytest
 
 from repro.cluster.buffers import (
     _MIN_SLOT_ELEMS,
     FetchArena,
     arena_stats,
-    local_arena,
+    process_arena,
     reset_arenas,
-    warm_arenas,
 )
-from repro.runtime.pool import ExecPool
 
 
 class TestFetchArena:
@@ -89,48 +84,16 @@ class TestFetchArena:
         assert (arena.hits, arena.grows) == (1, 1)
 
 
-class TestLocalArenaRegistry:
-    def test_same_thread_same_arena(self):
-        assert local_arena() is local_arena()
+class TestProcessArena:
+    def test_one_arena_per_process(self):
+        assert process_arena() is process_arena()
 
-    def test_distinct_arena_per_thread(self):
-        mine = local_arena()
-        theirs = []
-        t = threading.Thread(target=lambda: theirs.append(local_arena()))
-        t.start()
-        t.join()
-        assert theirs[0] is not mine
-
-    def test_warm_arenas_serial(self):
+    def test_stats_and_reset(self):
         reset_arenas(release_buffers=True)
-        pool = ExecPool(workers=1)
-        warm_arenas(pool, {"warm_test": (100, 8)})
-        arena = local_arena()
-        assert arena._slots["warm_test"].size >= 800
-        # Sizing probes count as neither hits nor steady-state grows
-        # masked out; a fitting request afterwards is a hit.
-        before = arena.hits
-        arena.request("warm_test", 100, 8)
-        assert arena.hits == before + 1
-
-    def test_warm_arenas_reaches_every_worker(self):
-        reset_arenas(release_buffers=True)
-        with ExecPool(workers=3) as pool:
-            warm_arenas(pool, {"warm_pool": (64, 4)})
-
-            def body(i):
-                arena = local_arena()
-                buf = arena._slots.get("warm_pool")
-                return buf is not None and buf.size >= 64 * 4
-
-            # Every worker thread must already hold a sized slot.
-            assert all(pool.map(body, 3))
-        reset_arenas(release_buffers=True)
-        local_arena().request("stats_test", 4, 4)
-        local_arena().request("stats_test", 2, 2)
+        process_arena().request("stats_test", 4, 4)
+        process_arena().request("stats_test", 2, 2)
         stats = arena_stats()
-        assert stats.hits >= 1 and stats.grows >= 1
-        assert stats.n_arenas >= 1
+        assert (stats.hits, stats.grows) == (1, 1)
         assert stats.capacity_bytes > 0
         assert stats.snapshot() == (stats.hits, stats.grows)
         reset_arenas()

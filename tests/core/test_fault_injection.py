@@ -7,7 +7,7 @@ Two contracts are enforced here:
   same ``C`` bits, same simulated seconds, same traffic and events.
 * **Faults on, determinism holds** — with a fixed fault seed, simulated
   seconds, resilience counters, traffic, and ``C`` are bitwise
-  identical at any ``REPRO_EXEC_WORKERS`` width, and the computed ``C``
+  identical on every run, and the computed ``C``
   stays numerically exact (allclose at 1e-12) versus the fault-free
   run: faults cost simulated time, never correctness.
 """
@@ -28,7 +28,6 @@ from repro.cluster.faults import (
     reset_resilience_stats,
     resilience_stats,
 )
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.sparse import SCATTER_ENV, erdos_renyi
 
 N_NODES = 8
@@ -36,10 +35,8 @@ N_NODES = 8
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    shutdown_exec_pool()
     reset_resilience_stats()
     yield
-    shutdown_exec_pool()
     reset_resilience_stats()
 
 
@@ -210,26 +207,12 @@ class TestFaultyRunsStayCorrect:
 
 
 class TestFaultDeterminism:
-    def _run(self, monkeypatch, workers, matrix, dense, scatter=None):
-        if workers is None:
-            monkeypatch.delenv(WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(WORKERS_ENV, str(workers))
+    def _run(self, monkeypatch, matrix, dense, scatter=None):
         if scatter is not None:
             monkeypatch.setenv(SCATTER_ENV, scatter)
-        shutdown_exec_pool()
         reset_resilience_stats()
         result = TwoFace().run(matrix, dense, _machine(FAULTY))
         return result, resilience_stats().snapshot()
-
-    def test_bitwise_identical_across_widths(
-        self, monkeypatch, matrix, dense
-    ):
-        serial, stats_serial = self._run(monkeypatch, None, matrix, dense)
-        pooled, stats_pooled = self._run(monkeypatch, 4, matrix, dense)
-        assert_same_simulation(serial, pooled)
-        assert stats_serial == stats_pooled
-        assert stats_serial[0] > 0  # faults actually fired
 
     def test_scatter_modes_agree_on_fault_decisions(
         self, monkeypatch, matrix, dense
@@ -237,10 +220,10 @@ class TestFaultDeterminism:
         """Same contract as the fault-free REPRO_SCATTER tests: the
         simulated quantities are mode-blind bitwise; C is allclose."""
         seg, stats_seg = self._run(
-            monkeypatch, 4, matrix, dense, scatter="segmented"
+            monkeypatch, matrix, dense, scatter="segmented"
         )
         atomic, stats_atomic = self._run(
-            monkeypatch, 4, matrix, dense, scatter="atomic"
+            monkeypatch, matrix, dense, scatter="atomic"
         )
         assert seg.seconds == atomic.seconds
         assert stats_seg == stats_atomic
@@ -251,10 +234,11 @@ class TestFaultDeterminism:
     def test_same_seed_same_faults_across_runs(
         self, monkeypatch, matrix, dense
     ):
-        first, stats_first = self._run(monkeypatch, 4, matrix, dense)
-        second, stats_second = self._run(monkeypatch, 4, matrix, dense)
+        first, stats_first = self._run(monkeypatch, matrix, dense)
+        second, stats_second = self._run(monkeypatch, matrix, dense)
         assert_same_simulation(first, second)
         assert stats_first == stats_second
+        assert stats_first[0] > 0  # faults actually fired
 
     def test_different_seeds_differ(self, matrix, dense):
         results = set()

@@ -1,10 +1,10 @@
-"""Stress test: pooled execution is bit-identical to serial.
+"""Run-to-run determinism of execution, and the scatter-kernel contract.
 
-The determinism contract of :mod:`repro.runtime.pool` — every simulated
-quantity (output values, per-node lane breakdowns, traffic counters,
-the communication event log, and the makespan) must come out *bitwise*
-equal whether the per-rank bodies run inline or across four worker
-threads.  Host wall time is the only thing allowed to change.
+Every simulated quantity (output values, per-node lane breakdowns,
+traffic counters, the communication event log, and the makespan) must
+come out *bitwise* equal when the same workload runs twice: warm
+arenas and cached schedules must not drift across executions.  Host
+wall time is the only thing allowed to change.
 """
 
 import numpy as np
@@ -20,18 +20,9 @@ from repro.algorithms import (
 )
 from repro.core import bernoulli_mask, preprocess
 from repro.dist import DistSparseMatrix, RowPartition
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.sparse import SCATTER_ENV, erdos_renyi
 
 N_NODES = 8
-POOLED = "4"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pool():
-    shutdown_exec_pool()
-    yield
-    shutdown_exec_pool()
 
 
 @pytest.fixture(scope="module")
@@ -51,25 +42,21 @@ def machine():
     return MachineConfig(n_nodes=N_NODES)
 
 
-def run_both(monkeypatch, make_algorithm, matrix, dense, machine):
-    """Run the same workload serial and pooled; return both results."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    shutdown_exec_pool()
-    serial = make_algorithm().run(matrix, dense, machine)
-    monkeypatch.setenv(WORKERS_ENV, POOLED)
-    shutdown_exec_pool()
-    pooled = make_algorithm().run(matrix, dense, machine)
-    return serial, pooled
+def run_twice(make_algorithm, matrix, dense, machine):
+    """Run the same workload twice; return both results."""
+    first = make_algorithm().run(matrix, dense, machine)
+    second = make_algorithm().run(matrix, dense, machine)
+    return first, second
 
 
-def assert_bit_identical(serial, pooled):
-    assert not serial.failed and not pooled.failed
-    np.testing.assert_array_equal(serial.C, pooled.C)
-    assert serial.seconds == pooled.seconds  # bitwise, no tolerance
-    for node_s, node_p in zip(serial.breakdown.nodes, pooled.breakdown.nodes):
-        assert node_s == node_p  # all five float components, exactly
-    assert serial.traffic == pooled.traffic
-    assert serial.events == pooled.events  # order and content
+def assert_bit_identical(first, second):
+    assert not first.failed and not second.failed
+    np.testing.assert_array_equal(first.C, second.C)
+    assert first.seconds == second.seconds  # bitwise, no tolerance
+    for node_a, node_b in zip(first.breakdown.nodes, second.breakdown.nodes):
+        assert node_a == node_b  # all five float components, exactly
+    assert first.traffic == second.traffic
+    assert first.events == second.events  # order and content
 
 
 ALGORITHMS = [
@@ -82,48 +69,23 @@ ALGORITHMS = [
 
 
 @pytest.mark.parametrize("make_algorithm", ALGORITHMS)
-def test_pooled_matches_serial(
-    monkeypatch, make_algorithm, matrix, dense, machine
-):
-    serial, pooled = run_both(
-        monkeypatch, make_algorithm, matrix, dense, machine
-    )
-    assert_bit_identical(serial, pooled)
+def test_repeated_runs_bit_identical(make_algorithm, matrix, dense, machine):
+    assert_bit_identical(*run_twice(make_algorithm, matrix, dense, machine))
 
 
-def test_pooled_matches_serial_with_mask(
-    monkeypatch, matrix, dense, machine
-):
+def test_repeated_runs_bit_identical_with_mask(matrix, dense, machine):
     """The masked (sampled-GNN) path, including the keep-all fast path."""
     dist = DistSparseMatrix(matrix, RowPartition(matrix.shape[0], N_NODES))
     plan, _ = preprocess(dist, k=dense.shape[1], stripe_width=32)
     for rate in (0.5, 1.0):  # 1.0 exercises the copy-skip fast path
         mask = bernoulli_mask(plan, rate, seed=5)
-        serial, pooled = run_both(
-            monkeypatch,
-            lambda: TwoFace(plan=plan, mask=mask),
-            matrix,
-            dense,
-            machine,
-        )
-        assert_bit_identical(serial, pooled)
-
-
-def test_pooled_repeated_runs_stay_identical(
-    monkeypatch, matrix, dense, machine
-):
-    """Warm arenas / cached schedules must not drift across executions."""
-    monkeypatch.setenv(WORKERS_ENV, POOLED)
-    shutdown_exec_pool()
-    first = TwoFace().run(matrix, dense, machine)
-    second = TwoFace().run(matrix, dense, machine)
-    np.testing.assert_array_equal(first.C, second.C)
-    assert first.seconds == second.seconds
+        assert_bit_identical(*run_twice(
+            lambda: TwoFace(plan=plan, mask=mask), matrix, dense, machine,
+        ))
 
 
 def _run_mode(monkeypatch, mode, plan, matrix, dense, machine):
     monkeypatch.setenv(SCATTER_ENV, mode)
-    shutdown_exec_pool()
     return TwoFace(plan=plan).run(matrix, dense, machine)
 
 
@@ -141,7 +103,6 @@ def test_scatter_modes_bitwise_timing_allclose_values(
     traffic counters, and the event log are *bitwise* identical between
     kernels (the timing model consumes counts, not values); only C is
     allowed to differ, and only within 1e-12 relative tolerance."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     segmented = _run_mode(monkeypatch, "segmented", plan, matrix, dense, machine)
     atomic = _run_mode(monkeypatch, "atomic", plan, matrix, dense, machine)
     assert not segmented.failed and not atomic.failed
@@ -159,12 +120,10 @@ def test_scatter_modes_contract_with_mask(
     monkeypatch, plan, matrix, dense, machine
 ):
     """Same contract on the masked (sampled-GNN) path."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     mask = bernoulli_mask(plan, 0.5, seed=5)
     results = {}
     for mode in ("segmented", "atomic"):
         monkeypatch.setenv(SCATTER_ENV, mode)
-        shutdown_exec_pool()
         results[mode] = TwoFace(plan=plan, mask=mask).run(
             matrix, dense, machine
         )
@@ -175,24 +134,18 @@ def test_scatter_modes_contract_with_mask(
     )
 
 
-def test_segmented_c_bytes_identical_across_widths_and_runs(
+def test_segmented_c_bytes_identical_across_runs(
     monkeypatch, plan, matrix, dense, machine
 ):
     """Reproducible determinism of the segmented kernel: the stable
     plan-time permutation fixes the summation order, so C's bytes are
-    identical across repeated runs *and* across pool widths."""
+    identical across repeated runs."""
     monkeypatch.setenv(SCATTER_ENV, "segmented")
     blobs = []
-    for width in (None, POOLED):
-        if width is None:
-            monkeypatch.delenv(WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(WORKERS_ENV, width)
-        shutdown_exec_pool()
-        for _ in range(2):
-            result = TwoFace(plan=plan).run(matrix, dense, machine)
-            assert not result.failed
-            blobs.append(result.C.tobytes())
+    for _ in range(3):
+        result = TwoFace(plan=plan).run(matrix, dense, machine)
+        assert not result.failed
+        blobs.append(result.C.tobytes())
     assert all(blob == blobs[0] for blob in blobs)
 
 

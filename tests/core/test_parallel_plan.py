@@ -1,8 +1,7 @@
-"""Bitwise determinism of the parallel planning pipeline.
+"""Bitwise determinism of the per-rank planning loop.
 
-The per-rank planning bodies fan out across the planning pool; the
-plan, stripe destinations, and report must be bit-identical to a serial
-build at any pool width.  ``plan_digest`` serialises the whole plan
+Planning the same matrix twice must give bit-identical plans, stripe
+destinations, and reports.  ``plan_digest`` serialises the whole plan
 (geometry, coefficients, destinations, every rank's matrices and cached
 schedules) and hashes the bytes, so one comparison covers everything
 that travels in the v2 container.
@@ -16,16 +15,7 @@ from repro import MachineConfig
 from repro.core import preprocess
 from repro.core.serialize import plan_digest
 from repro.dist import DistSparseMatrix, RowPartition
-from repro.runtime.pool import shutdown_plan_pool
 from repro.sparse import banded, erdos_renyi, hub_skewed, rmat
-
-
-@pytest.fixture(autouse=True)
-def _fresh_plan_pool():
-    shutdown_plan_pool()
-    yield
-    shutdown_plan_pool()
-
 
 MATRICES = {
     "erdos_renyi": lambda: erdos_renyi(96, 96, 1200, seed=11),
@@ -43,49 +33,34 @@ def reports_equal(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
-def test_parallel_matches_serial(name):
+def test_rebuild_is_bitwise_identical(name):
     matrix = MATRICES[name]()
     dist = DistSparseMatrix(
         matrix, RowPartition(matrix.shape[0], 4)
     )
-    serial_plan, serial_rep = preprocess(
-        dist, k=16, stripe_width=8, plan_workers=1
+    first_plan, first_rep = preprocess(dist, k=16, stripe_width=8)
+    second_plan, second_rep = preprocess(dist, k=16, stripe_width=8)
+    assert plan_digest(second_plan) == plan_digest(first_plan)
+    assert second_plan.stripe_destinations == (
+        first_plan.stripe_destinations
     )
-    parallel_plan, parallel_rep = preprocess(
-        dist, k=16, stripe_width=8, plan_workers=4
-    )
-    assert plan_digest(parallel_plan) == plan_digest(serial_plan)
-    assert parallel_plan.stripe_destinations == (
-        serial_plan.stripe_destinations
-    )
-    assert reports_equal(parallel_rep, serial_rep)
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 8])
-def test_every_width_agrees(workers):
-    matrix = rmat(7, 16.0, seed=3)
-    dist = DistSparseMatrix(matrix, RowPartition(128, 8))
-    serial, _ = preprocess(dist, k=32, stripe_width=8, plan_workers=1)
-    wide, _ = preprocess(
-        dist, k=32, stripe_width=8, plan_workers=workers
-    )
-    assert plan_digest(wide) == plan_digest(serial)
+    assert reports_equal(second_rep, first_rep)
 
 
 def test_memory_fallback_deterministic():
-    """The §6.3 budget path (memory flips) survives parallel planning."""
+    """The §6.3 budget path (memory flips) plans deterministically."""
     matrix = hub_skewed(96, 16.0, 8, seed=4)
     dist = DistSparseMatrix(matrix, RowPartition(96, 4))
     tight = MachineConfig(n_nodes=4, memory_capacity=50_000)
-    serial_plan, serial_rep = preprocess(
-        dist, k=64, stripe_width=8, machine=tight, plan_workers=1
+    first_plan, first_rep = preprocess(
+        dist, k=64, stripe_width=8, machine=tight
     )
-    parallel_plan, parallel_rep = preprocess(
-        dist, k=64, stripe_width=8, machine=tight, plan_workers=4
+    second_plan, second_rep = preprocess(
+        dist, k=64, stripe_width=8, machine=tight
     )
-    assert serial_rep.memory_flips > 0  # the fallback actually fired
-    assert plan_digest(parallel_plan) == plan_digest(serial_plan)
-    assert reports_equal(parallel_rep, serial_rep)
+    assert first_rep.memory_flips > 0  # the fallback actually fired
+    assert plan_digest(second_plan) == plan_digest(first_plan)
+    assert reports_equal(second_rep, first_rep)
 
 
 @pytest.mark.parametrize("flag", ["force_all_async", "force_all_sync"])
@@ -93,24 +68,6 @@ def test_force_flags_deterministic(flag):
     matrix = erdos_renyi(96, 96, 1200, seed=6)
     dist = DistSparseMatrix(matrix, RowPartition(96, 4))
     kwargs = {flag: True}
-    serial, _ = preprocess(
-        dist, k=16, stripe_width=8, plan_workers=1, **kwargs
-    )
-    parallel, _ = preprocess(
-        dist, k=16, stripe_width=8, plan_workers=4, **kwargs
-    )
-    assert plan_digest(parallel) == plan_digest(serial)
-
-
-def test_env_width_used(monkeypatch):
-    from repro.runtime.pool import PLAN_WORKERS_ENV, get_plan_pool
-
-    monkeypatch.setenv(PLAN_WORKERS_ENV, "4")
-    matrix = erdos_renyi(96, 96, 800, seed=8)
-    dist = DistSparseMatrix(matrix, RowPartition(96, 4))
-    plan, _ = preprocess(dist, k=16, stripe_width=8)
-    pool = get_plan_pool()
-    assert pool.workers == 4
-    assert pool.stats.parallel_batches >= 1
-    serial, _ = preprocess(dist, k=16, stripe_width=8, plan_workers=1)
-    assert plan_digest(plan) == plan_digest(serial)
+    first, _ = preprocess(dist, k=16, stripe_width=8, **kwargs)
+    second, _ = preprocess(dist, k=16, stripe_width=8, **kwargs)
+    assert plan_digest(second) == plan_digest(first)

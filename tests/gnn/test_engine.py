@@ -52,6 +52,27 @@ class TestEngineScheduleReuse:
         assert stats["sync_csr_builds"] <= machine.n_nodes
         assert stats["sync_csr_hits"] > 0
 
+    def test_steady_epoch_makes_no_arena_grows(self, machine, rng):
+        """The first epoch sizes the process fetch arena; every later
+        epoch reuses its buffers (zero per-stripe allocations) without
+        any warm-up call."""
+        from repro.cluster.buffers import reset_arenas
+
+        reset_arenas(release_buffers=True)
+        A = erdos_renyi(64, 64, 400, seed=9)
+        engine = DistSpMMEngine(A, machine, stripe_width=4)
+        B = rng.standard_normal((64, 8))
+        epoch_spmms = 3
+        for _ in range(epoch_spmms):
+            engine.multiply(B)
+        first = engine.exec_stats()
+        assert first["arena_grows"] > 0  # the workload has async stripes
+        for _ in range(epoch_spmms):
+            engine.multiply(B)
+        second = engine.exec_stats()
+        assert second["arena_grows"] - first["arena_grows"] == 0
+        assert second["arena_hits"] > first["arena_hits"]
+
     def test_exec_stats_atomic_mode(self, machine, rng, monkeypatch):
         from repro.sparse import SCATTER_ENV
 

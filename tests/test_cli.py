@@ -1,7 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -23,6 +29,43 @@ class TestParser:
         assert args.matrix == "web"
         assert args.algorithm == "TwoFace"
         assert args.k == 128
+
+
+class TestBadEnvironment:
+    @pytest.mark.parametrize(
+        "env, argv, message",
+        [
+            (
+                {"REPRO_SCATTER": "bogus"},
+                ["run", "--matrix", "web", "--k", "8", "--nodes", "4",
+                 "--size", "tiny"],
+                "REPRO_SCATTER must be 'segmented' or 'atomic', "
+                "got 'bogus'",
+            ),
+            (
+                {"REPRO_BENCH_WORKERS": "abc"},
+                ["sweep", "--matrices", "web", "--k", "8", "--nodes", "4",
+                 "--size", "tiny"],
+                "REPRO_BENCH_WORKERS must be an integer, got 'abc'",
+            ),
+        ],
+        ids=["REPRO_SCATTER", "REPRO_BENCH_WORKERS"],
+    )
+    def test_one_line_error_exit_2(self, env, argv, message):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        full_env = {
+            **os.environ,
+            **env,
+            "PYTHONPATH": src if not path else src + os.pathsep + path,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=full_env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"repro: error: {message}"]
+        assert "Traceback" not in proc.stderr + proc.stdout
 
 
 class TestCommands:
